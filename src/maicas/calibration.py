@@ -11,6 +11,7 @@ from typing import Literal, Sequence
 
 from .errors import (DegenerateInput, DegenerateModel, DomainError,
                      IncompleteCycle)
+from .jsonio import load_json
 
 MeasurandUnit = Literal["percent-strain", "mmHg", "um", "degrees",
                         "rel-permittivity", "days"]
@@ -51,17 +52,9 @@ class CalibrationModel:
 
     @staticmethod
     def from_json(text: str) -> "CalibrationModel":
-        obj = json.loads(text)
-        return CalibrationModel(
-            intercept=float(obj["intercept"]),
-            slope=float(obj["slope"]),
-            r_squared=float(obj["r_squared"]),
-            residual_sd=float(obj["residual_sd"]),
-            measurand_unit=str(obj["measurand_unit"]),
-            n_points=int(obj["n_points"]),
-            y_min=float(obj["y_min"]),
-            y_max=float(obj["y_max"]),
-        )
+        """Inverse of to_json. Raises DomainError on malformed JSON, missing
+        or unknown keys, and non-numeric or non-finite numbers."""
+        return load_json(CalibrationModel, text, "calibration model")
 
 
 def fit_linear(points: Sequence[tuple[float, float]],

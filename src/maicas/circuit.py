@@ -19,6 +19,7 @@ from .errors import CalibrationFailed, DomainError
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
                        LoopGeometry, Rest, SubstrateStack, apply_strain,
                        strain_of)
+from .jsonio import load_json
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 VACUUM_PERMEABILITY = 4.0e-7 * math.pi  # H/m
@@ -166,14 +167,8 @@ class ModelCalibration:
 
     @staticmethod
     def from_json(text: str) -> "ModelCalibration":
-        obj = json.loads(text)
-        return ModelCalibration(
-            eff_permittivity_scale=float(obj["eff_permittivity_scale"]),
-            parasitic_C_offset=float(obj["parasitic_C_offset"]),
-            ide_finger_count=int(obj["ide_finger_count"]),
-            ide_finger_length=float(obj["ide_finger_length"]),
-            loss_R=float(obj["loss_R"]),
-        )
+        """Inverse of to_json, as strict as CalibrationModel.from_json."""
+        return load_json(ModelCalibration, text, "baseline calibration")
 
 
 # A just-positive placeholder: the uncalibrated model carries no parasitic.

@@ -20,6 +20,7 @@ from .circuit import calibrate_baseline, lumped_from_geometry
 from .dsp import extract_resonance
 from .errors import DomainError, MaicasError
 from .geometry import DeviceGeometry, Rest, device_from_dict
+from .jsonio import parse_json
 from .scenarios import (MODES, ExperimentConfig, default_config,
                         run_experiment)
 from .sweepio import read_sweep
@@ -142,7 +143,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_calibrate_baseline(args) -> int:
     if args.config is not None:
-        device = device_from_dict(json.loads(Path(args.config).read_text()))
+        device = device_from_dict(
+            parse_json(Path(args.config).read_text(), "device"))
     else:
         device = DeviceGeometry()
     cal = calibrate_baseline(device, args.f0, args.depth_db)

@@ -4,6 +4,12 @@ Pipeline: 5-point moving average (reflect padding), global minimum of the
 smoothed trace with the lowest-frequency tie break, then a 3-point parabolic
 refinement on the raw samples around that index. Dip depth is measured
 against the median of the smoothed sweep.
+
+The medians (baseline and the noise MAD) are taken with np.partition at
+fixed ranks. They are exact np.median equivalents: the middle value for odd
+lengths, the mean of the two middle values for even lengths, equal to
+np.median bit for bit. NaN propagates: a sweep holding a NaN gives a NaN
+median, as with np.median.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from .readout import S11Sweep
 
 SMOOTHING_WINDOW = 5
 MIN_DEPTH_DB = 3.0
+
+_HALF_WINDOW = SMOOTHING_WINDOW // 2
+_KERNEL = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -35,9 +44,29 @@ class ResonanceEstimate:
 
 
 def _smooth(mags: np.ndarray) -> np.ndarray:
-    padded = np.pad(mags, SMOOTHING_WINDOW // 2, mode="reflect")
-    kernel = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
-    return np.convolve(padded, kernel, mode="valid")
+    """Moving average with reflect padding (the edge sample is not
+    repeated), the same values as np.pad(..., mode="reflect") for sweeps
+    of at least SMOOTHING_WINDOW points."""
+    padded = np.concatenate((mags[_HALF_WINDOW:0:-1], mags,
+                             mags[-2:-_HALF_WINDOW - 2:-1]))
+    return np.convolve(padded, _KERNEL, mode="valid")
+
+
+def _median(values: np.ndarray) -> np.float64:
+    """np.median of a nonempty 1-D float64 array without its dispatch
+    overhead: the same bits for NaN-free input, NaN for input with a NaN.
+
+    The middle values are summed onto 0.0, as np.mean sums them. That turns
+    a -0.0 result into 0.0, so the result does not depend on which of two
+    tied signed zeros a partition puts at the middle rank.
+    """
+    if np.isnan(values).any():
+        return np.float64(np.nan)
+    k = values.size // 2
+    if values.size % 2:
+        return np.partition(values, k)[k] + 0.0
+    part = np.partition(values, (k - 1, k))
+    return (part[k - 1] + part[k] + 0.0) / 2
 
 
 def extract_resonance(sweep: S11Sweep,
@@ -56,7 +85,7 @@ def extract_resonance(sweep: S11Sweep,
     raw = sweep.magnitude_db
     smoothed = _smooth(raw)
     i = int(np.argmin(smoothed))  # argmin takes the first (lowest) frequency
-    baseline = float(np.median(smoothed))
+    baseline = float(_median(smoothed))
     depth = baseline - float(smoothed[i])
     if depth < min_depth_db:
         raise NoResonance(
@@ -78,7 +107,7 @@ def extract_resonance(sweep: S11Sweep,
     f0_hat = sweep.f_start + (i + delta) * step
 
     residual = raw - smoothed
-    mad = float(np.median(np.abs(residual - np.median(residual))))
+    mad = float(_median(np.abs(residual - _median(residual))))
     sigma_hat = max(1.4826 * mad, 1e-12)
     return ResonanceEstimate(
         f0_hat=float(f0_hat),

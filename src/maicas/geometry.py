@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, OutOfModelRange
+from .jsonio import from_dict
 
 # Validity window of the small-strain kinematic model.
 MAX_ABS_STRAIN = 0.5
@@ -283,13 +284,6 @@ def device_to_dict(device: DeviceGeometry) -> dict:
 
 
 def device_from_dict(obj: dict) -> DeviceGeometry:
-    """Inverse of device_to_dict; missing sections fall back to defaults."""
-    ide = IdeGeometry(**obj.get("ide", {}))
-    loop = LoopGeometry(**obj.get("loop", {}))
-    stack = SubstrateStack(**obj.get("stack", {}))
-    kwargs = {}
-    if "rest_length" in obj:
-        kwargs["rest_length"] = obj["rest_length"]
-    if "poisson_ratio" in obj:
-        kwargs["poisson_ratio"] = obj["poisson_ratio"]
-    return DeviceGeometry(ide=ide, loop=loop, stack=stack, **kwargs)
+    """Inverse of device_to_dict; missing keys and sections fall back to
+    defaults. Unknown keys and non-numeric values raise DomainError."""
+    return from_dict(DeviceGeometry, obj, "device", partial=True)

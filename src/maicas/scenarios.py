@@ -24,8 +24,8 @@ from .dsp import ResonanceEstimate, extract_resonance
 from .errors import (CalibrationFailed, DomainError, GridTooCoarse,
                      NoResonance)
 from .geometry import (DeviceGeometry, JointBend, Rest, RolledDisplacement,
-                       RolledPressure, UniaxialStrain, device_from_dict,
-                       device_to_dict)
+                       RolledPressure, UniaxialStrain, device_to_dict)
+from .jsonio import load_json
 from .readout import ReaderCouple, S11Sweep, add_noise, fit_reader, s11_spectrum
 from .sweepio import write_touchstone
 
@@ -136,16 +136,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        kwargs = dict(obj)
-        if "device" in kwargs:
-            kwargs["device"] = device_from_dict(kwargs["device"] or {})
-        cal = kwargs.get("calibration")
-        if cal is not None:
-            kwargs["calibration"] = ModelCalibration.from_json(json.dumps(cal))
-        if "measurand_grid" in kwargs:
-            kwargs["measurand_grid"] = tuple(kwargs["measurand_grid"])
-        return ExperimentConfig(**kwargs)
+        """Inverse of to_json: every field, the device and the calibration
+        included, must be present. Raises DomainError on malformed JSON,
+        missing or unknown keys, and values of the wrong type."""
+        return load_json(ExperimentConfig, text, "experiment config")
 
 
 def default_config(mode: str, **overrides) -> ExperimentConfig:

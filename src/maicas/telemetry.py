@@ -254,10 +254,16 @@ def _record_to_json(record: MeasurandRecord) -> str:
     return json.dumps(obj)
 
 
-def record_from_frame(raw: bytes, model: CalibrationModel) -> MeasurandRecord:
+def record_from_frame(raw: bytes, model: CalibrationModel, *,
+                      cal_id: str | None = None) -> MeasurandRecord:
     """Decode, extract and invert one frame into a log record. Decode and
-    extraction failures become no_resonance records instead of raising."""
-    cal_id = calibration_id_of(model)
+    extraction failures become no_resonance records instead of raising.
+
+    cal_id, when given, must be calibration_id_of(model); callers that log
+    many frames against one model pass it to hash the model only once.
+    """
+    if cal_id is None:
+        cal_id = calibration_id_of(model)
     try:
         frame = decode_frame(raw)
     except FrameError as exc:
@@ -327,11 +333,12 @@ def read_log(path) -> list[dict]:
 def process_frames(frames, model: CalibrationModel, log_path) -> dict[str, int]:
     """Offline equivalent of the gateway: append one record per frame from
     an in-memory list. Returns quality counts."""
+    cal_id = calibration_id_of(model)
     writer = _LogWriter(log_path)
     counts = {"ok": 0, "extrapolated": 0, "no_resonance": 0}
     try:
         for raw in frames:
-            record = record_from_frame(raw, model)
+            record = record_from_frame(raw, model, cal_id=cal_id)
             writer.append(record)
             counts[record.quality] += 1
     finally:
@@ -366,6 +373,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
     """
     if port is None:
         port = default_port()
+    cal_id = calibration_id_of(model)
     writer = _LogWriter(log_path)
     frames_seen = ok = extrapolated = errors = reconnects = 0
     backoff = backoff_initial_s
@@ -405,7 +413,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
                         clean_eof = True
                         break
                     frames_seen += 1
-                    record = record_from_frame(raw, model)
+                    record = record_from_frame(raw, model, cal_id=cal_id)
                     writer.append(record)
                     if record.quality == "ok":
                         ok += 1

@@ -5,6 +5,11 @@ package: elliptic integrals by direct quadrature instead of scipy.special,
 inductance by Neumann double integrals instead of a current-sheet closed
 form, CRC-32 bit by bit instead of zlib. Tests compare the package against
 these routes; the two sides share no formula code.
+
+The one exception is reference_extract_resonance: the dip extractor as it
+was before its medians and padding were rewritten for speed, kept verbatim
+(np.pad + np.median) so tests can require the fast version to agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from maicas.dsp import MIN_DEPTH_DB, SMOOTHING_WINDOW, ResonanceEstimate
+from maicas.errors import DomainError, GridTooCoarse, NoResonance
 
 MU0 = 4.0e-7 * math.pi
 EPS0 = 8.8541878128e-12
@@ -149,3 +157,59 @@ def ols_oracle(x, y):
     n = len(x)
     resid_sd = math.sqrt(ss_res / (n - 2)) if n > 2 else 0.0
     return slope, intercept, r2, resid_sd
+
+
+# --- reference dip extractor (np.pad + np.median) ----------------------------
+
+def _reference_smooth(mags: np.ndarray) -> np.ndarray:
+    padded = np.pad(mags, SMOOTHING_WINDOW // 2, mode="reflect")
+    kernel = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def reference_extract_resonance(sweep,
+                                min_depth_db: float = MIN_DEPTH_DB) -> ResonanceEstimate:
+    """Locate the reflection dip.
+
+    Raises NoResonance when the dip does not clear min_depth_db below the
+    sweep median, GridTooCoarse when the minimum sits on a sweep endpoint,
+    and DomainError for sweeps shorter than the smoothing window.
+    """
+    if sweep.n_points < SMOOTHING_WINDOW:
+        raise DomainError(
+            f"need at least {SMOOTHING_WINDOW} points, got {sweep.n_points}")
+    if min_depth_db <= 0:
+        raise DomainError(f"min_depth_db must be > 0, got {min_depth_db}")
+    raw = sweep.magnitude_db
+    smoothed = _reference_smooth(raw)
+    i = int(np.argmin(smoothed))  # argmin takes the first (lowest) frequency
+    baseline = float(np.median(smoothed))
+    depth = baseline - float(smoothed[i])
+    if depth < min_depth_db:
+        raise NoResonance(
+            f"dip depth {depth:.2f} dB below threshold {min_depth_db:.2f} dB")
+    if i == 0 or i == sweep.n_points - 1:
+        raise GridTooCoarse("dip sits on a sweep endpoint; widen the grid")
+
+    step = (sweep.f_stop - sweep.f_start) / (sweep.n_points - 1)
+    y0, y1, y2 = float(raw[i - 1]), float(raw[i]), float(raw[i + 1])
+    denom = y0 - 2.0 * y1 + y2
+    refined = False
+    delta = 0.0
+    if denom > 0:
+        delta = 0.5 * (y0 - y2) / denom
+        if abs(delta) <= 1.0:
+            refined = True
+        else:
+            delta = 0.0
+    f0_hat = sweep.f_start + (i + delta) * step
+
+    residual = raw - smoothed
+    mad = float(np.median(np.abs(residual - np.median(residual))))
+    sigma_hat = max(1.4826 * mad, 1e-12)
+    return ResonanceEstimate(
+        f0_hat=float(f0_hat),
+        depth_db=depth,
+        snr_estimate=depth / sigma_hat,
+        refined=refined,
+    )

@@ -87,6 +87,23 @@ class TestModelJson:
         assert set(obj) == {"intercept", "slope", "r_squared", "residual_sd",
                             "measurand_unit", "n_points", "y_min", "y_max"}
 
+    @pytest.mark.parametrize("field,value", [
+        ("slope", None), ("slope", True), ("slope", "1e6"),
+        ("slope", float("nan")), ("y_max", float("inf")),
+        ("n_points", 2.5), ("measurand_unit", 3),
+    ])
+    def test_rejects_wrong_types_and_non_finite(self, field, value):
+        obj = json.loads(fit_linear([(0.0, 1.7e9), (1.0, 1.8e9)],
+                                    "um").to_json())
+        obj[field] = value
+        with pytest.raises(DomainError):
+            CalibrationModel.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["", "[]", "null", '{"slope": 1.0'])
+    def test_rejects_non_objects(self, text):
+        with pytest.raises(DomainError):
+            CalibrationModel.from_json(text)
+
 
 class TestInvert:
     def test_round_trip_through_forward_model(self):

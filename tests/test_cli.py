@@ -1,14 +1,20 @@
 import json
+import os
+import re
+import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from maicas.calibration import fit_linear
 from maicas.circuit import ModelCalibration
 from maicas.cli import main
 from maicas.readout import add_noise, s11_spectrum
+from maicas.scenarios import default_config
 from maicas.sweepio import write_sweep
-from maicas.telemetry import read_log, split_dump, start_server
+from maicas.telemetry import encode_frame, read_log, split_dump, start_server
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 SUBCOMMANDS = ("simulate", "extract", "fit", "invert", "calibrate-baseline",
@@ -68,6 +74,72 @@ class TestExitCodes:
                                str(tmp_path / "missing.s1p"))
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+DEFECTS = ("malformed", "missing_key", "unknown_key", "non_numeric")
+
+
+def broken_json(obj: dict, defect: str, numeric_key: str) -> str:
+    """A JSON document with one defect, on numeric_key where it names a
+    field."""
+    obj = dict(obj)
+    if defect == "malformed":
+        return json.dumps(obj)[:-1]
+    if defect == "missing_key":
+        del obj[numeric_key]
+    elif defect == "unknown_key":
+        obj["colour"] = "blue"
+    else:
+        obj[numeric_key] = "steep"
+    return json.dumps(obj)
+
+
+class TestStrictJson:
+    """A defective model or config file is exit 1 with one JSON error line
+    on stderr, never a traceback."""
+
+    def assert_one_error_line(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("command", ["invert", "extract", "replay"])
+    def test_bad_model(self, capsys, tmp_path, rest_circuit, reader,
+                       command, defect):
+        model = fit_linear([(50.0, 1.676e9), (200.0, 1.741e9)], "mmHg")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(
+            broken_json(json.loads(model.to_json()), defect, "slope"))
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        sweep_path = tmp_path / "sweep.s1p"
+        write_sweep(sweep, sweep_path)
+        dump = tmp_path / "frames.bin"
+        dump.write_bytes(encode_frame(1, 0, sweep))
+        log = tmp_path / "log.ndjson"
+        argv = {
+            "invert": ["invert", "--model", str(model_path),
+                       "--f0", "1.7e9"],
+            "extract": ["extract", str(sweep_path),
+                        "--model", str(model_path)],
+            "replay": ["replay", "--frames", str(dump),
+                       "--model", str(model_path), "--log", str(log)],
+        }[command]
+        self.assert_one_error_line(capsys, *argv)
+        assert not log.exists()
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_bad_simulate_config(self, capsys, tmp_path, defect):
+        config = json.loads(default_config("graft_pressure").to_json())
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            broken_json(config, defect, "noise_sigma_db"))
+        self.assert_one_error_line(capsys, "simulate", "--config",
+                                   str(config_path),
+                                   "--out", str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
 
 class TestFit:
@@ -311,13 +383,32 @@ class TestReplayAndGateway:
             server.server_close()
 
 
+def console_script(*argv):
+    """Run the maicas console script: the installed one when it is on PATH,
+    else the [project.scripts] target from pyproject.toml, imported from
+    the checkout's src directory the way the generated script calls it."""
+    if shutil.which("maicas"):
+        return subprocess.run(["maicas", *argv], capture_output=True,
+                              text=True)
+    root = Path(__file__).resolve().parents[1]
+    target = re.search(r'^maicas = "([\w.]+):(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.MULTILINE)
+    module, function = target.groups()
+    code = (f"import sys; from {module} import {function}; "
+            f"sys.exit({function}())")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestInstalledEntryPoint:
     def test_console_script_help(self):
-        proc = subprocess.run(["maicas", "--help"],
-                              capture_output=True, text=True)
+        proc = console_script("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: maicas")
 
     def test_console_script_usage_error(self):
-        proc = subprocess.run(["maicas"], capture_output=True, text=True)
+        proc = console_script()
         assert proc.returncode == 2

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from maicas.dsp import MIN_DEPTH_DB, SMOOTHING_WINDOW, extract_resonance
+import oracles
+from maicas.dsp import (MIN_DEPTH_DB, SMOOTHING_WINDOW, _median,
+                        extract_resonance)
 from maicas.errors import DomainError, GridTooCoarse, NoResonance
 from maicas.readout import S11Sweep, add_noise, dip_of, s11_spectrum
 
@@ -125,3 +129,64 @@ class TestRejection:
 def test_module_constants():
     assert SMOOTHING_WINDOW == 5
     assert MIN_DEPTH_DB == 3.0
+
+
+# Sample values a sweep may hold: a few repeated levels so ties (signed
+# zeros included) are common, a continuum, and the non-finite values
+# S11Sweep lets through.
+_LEVELS = st.sampled_from([0.0, -0.0, -1.0, -3.0, -3.0 - 2.0 ** -40, -20.0])
+_SAMPLES = st.one_of(_LEVELS, st.floats(-80.0, 0.0))
+_HOSTILE = st.sampled_from([np.nan, -np.inf])
+
+
+@st.composite
+def hostile_sweeps(draw):
+    n = draw(st.integers(SMOOTHING_WINDOW, 400))
+    mags = draw(arrays(np.float64, n, elements=_SAMPLES, fill=_LEVELS))
+    if draw(st.booleans()):
+        mags = mags + gaussian_dip(n, draw(st.floats(0.0, n - 1.0)),
+                                   draw(st.floats(1.0, 40.0)),
+                                   draw(st.floats(0.5, 8.0)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        mags[i] = draw(_HOSTILE)
+    return S11Sweep(1.0e9, 2.0e9, n, mags)
+
+
+def outcome(extract, sweep):
+    try:
+        est = extract(sweep)
+    except Exception as exc:
+        return type(exc)
+    return (repr(est.f0_hat), repr(est.depth_db), repr(est.snr_estimate),
+            est.refined)
+
+
+class TestReferenceEquivalence:
+    """The extractor against the np.pad + np.median reference it replaced:
+    identical estimates, down to the last bit, or the same exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep=hostile_sweeps())
+    def test_matches_reference_extractor(self, sweep):
+        with np.errstate(all="ignore"):
+            assert (outcome(extract_resonance, sweep)
+                    == outcome(oracles.reference_extract_resonance, sweep))
+
+    @pytest.mark.parametrize("n", [400, 401])
+    def test_nan_next_to_dip_matches_reference(self, n):
+        mags = gaussian_dip(n, n // 3, 30.0)
+        mags[n // 3 + 1] = np.nan
+        sweep = S11Sweep(1.0e9, 2.0e9, n, mags)
+        with np.errstate(all="ignore"):
+            assert (outcome(extract_resonance, sweep)
+                    == outcome(oracles.reference_extract_resonance, sweep))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=arrays(np.float64, st.integers(1, 60),
+                         elements=st.one_of(_LEVELS, _HOSTILE,
+                                            st.just(np.inf),
+                                            st.floats(allow_nan=False))))
+    def test_median_is_numpy_median_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):
+            assert (np.float64(_median(values)).tobytes()
+                    == np.float64(np.median(values)).tobytes())

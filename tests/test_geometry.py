@@ -158,3 +158,15 @@ def test_device_dict_partial():
     rebuilt = device_from_dict({"ide": {"finger_count": 12}})
     assert rebuilt.ide.finger_count == 12
     assert rebuilt.loop == DeviceGeometry().loop
+
+
+@pytest.mark.parametrize("obj", [
+    {"ide": {"fingers": 12}},
+    {"antenna": {}},
+    {"loop": {"turns": "two"}},
+    {"stack": []},
+    {"rest_length": float("nan")},
+])
+def test_device_dict_rejects_unknown_keys_and_bad_values(obj):
+    with pytest.raises(DomainError):
+        device_from_dict(obj)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError)
@@ -5,6 +7,9 @@ from maicas.scenarios import (DEFAULT_GRIDS, ExperimentConfig, default_config,
                               derive_seed, fit_scenario_coupling,
                               media_shift, run_experiment)
 from maicas.sweepio import read_touchstone
+
+
+DROP = object()  # marks a JSON key to delete
 
 
 def quiet_config(mode, device, cal, **overrides):
@@ -48,6 +53,31 @@ class TestConfigValidation:
     def test_json_round_trip_without_calibration(self):
         cfg = default_config("joint_bend", bend_radius=1.5)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("path,value", [
+        (("calibration", "loss_R"), DROP),
+        (("calibration", "colour"), "blue"),
+        (("device", "ide", "finger_count"), 8.5),
+        (("device", "stack", "gap"), 30.0),
+        (("device",), None),
+        (("measurand_grid",), [50.0, "high"]),
+        (("measurand_grid",), 50.0),
+        (("expansion_positive",), 1),
+        (("compliance",), "stiff"),
+    ])
+    def test_json_nested_fields_are_strict(self, baseline_cal, path, value):
+        obj = json.loads(default_config(
+            "graft_pressure", calibration=baseline_cal).to_json())
+        *parents, key = path
+        target = obj
+        for name in parents:
+            target = target[name]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_json(json.dumps(obj))
 
 
 class TestSeedDerivation:

@@ -4,11 +4,13 @@ import socket
 import struct
 import threading
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from maicas import telemetry
 from maicas.calibration import fit_linear
 from maicas.errors import (BadMagic, ChecksumMismatch, DomainError,
                            InvalidGrid, MalformedLength, UnsupportedVersion)
@@ -18,7 +20,7 @@ from maicas.telemetry import (HEADER_SIZE, MAGIC, MAX_STREAM_POINTS,
                               default_port, encode_frame,
                               frames_from_sweeps, gateway, process_frames,
                               read_frame, read_log, record_from_frame,
-                              split_dump, start_server)
+                              split_dump, start_server, _LogWriter)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,44 @@ def pressure_model():
     # sweeps the tests synthesize
     pts = [(p, 1.6545e9 + 0.432e6 * p) for p in (50.0, 100.0, 150.0, 200.0)]
     return fit_linear(pts, "mmHg")
+
+
+@pytest.fixture()
+def id_calls(monkeypatch):
+    """Every model calibration_id_of is called with, in call order."""
+    calls = []
+    real = telemetry.calibration_id_of
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(telemetry, "calibration_id_of", counting)
+    return calls
+
+
+def mixed_frames(sweep_pool):
+    """Valid frames plus one each of a bit flip under the CRC, a flat
+    payload, and a NaN next to the dip."""
+    frames = frames_from_sweeps(sweep_pool[:6])
+    flipped = bytearray(frames[1])
+    flipped[60] ^= 1
+    frames[1] = bytes(flipped)
+    flat = S11Sweep(1.5e9, 2.0e9, 64, np.full(64, -2.0))
+    frames.append(encode_frame(1, 6000, flat))
+    mags = sweep_pool[6].magnitude_db.copy()
+    mags[np.argmin(mags) + 1] = np.nan
+    frames.append(encode_frame(1, 7000, S11Sweep(1.5e9, 2.0e9, 101, mags)))
+    return frames
+
+
+def log_frame_by_frame(frames, model, path) -> bytes:
+    """The log record_from_frame gives one frame at a time."""
+    writer = _LogWriter(path)
+    for raw in frames:
+        writer.append(record_from_frame(raw, model))
+    writer.close()
+    return path.read_bytes()
 
 
 def recompute_crc(body: bytes) -> bytes:
@@ -199,6 +239,13 @@ class TestRecords:
         other = fit_linear([(0.0, 1.7e9), (1.0, 1.71e9)], "um")
         assert calibration_id_of(other) != a
 
+    def test_signed_zero_intercepts_get_distinct_ids(self, pressure_model):
+        positive = replace(pressure_model, intercept=0.0)
+        negative = replace(pressure_model, intercept=-0.0)
+        assert positive == negative
+        assert positive.to_json() != negative.to_json()
+        assert calibration_id_of(positive) != calibration_id_of(negative)
+
     def test_ok_record(self, sweep_pool, pressure_model):
         frame = encode_frame(5, 99, sweep_pool[0])
         record = record_from_frame(frame, pressure_model)
@@ -247,6 +294,15 @@ class TestLog:
         assert [r["quality"] for r in records] == \
                ["ok", "ok", "no_resonance", "ok", "ok"]
         assert records[2]["error"] == "checksum_mismatch"
+
+    def test_model_hashed_once_per_call(self, sweep_pool, pressure_model,
+                                        tmp_path, id_calls):
+        frames = mixed_frames(sweep_pool)
+        process_frames(frames, pressure_model, tmp_path / "batch.ndjson")
+        assert id_calls == [pressure_model]
+        assert ((tmp_path / "batch.ndjson").read_bytes()
+                == log_frame_by_frame(frames, pressure_model,
+                                      tmp_path / "by_frame.ndjson"))
 
     def test_append_only_across_runs(self, sweep_pool, pressure_model,
                                      tmp_path):
@@ -300,6 +356,17 @@ class TestGateway:
         assert live == offline
         assert [r["timestamp_us"] for r in live] == \
                [i * 1000 for i in range(8)]
+
+    def test_model_hashed_once_per_call(self, sweep_pool, pressure_model,
+                                        tmp_path, id_calls):
+        frames = mixed_frames(sweep_pool)
+        stats = self.run_loopback(frames, pressure_model,
+                                  tmp_path / "live.ndjson")
+        assert stats.frames_seen == len(frames)
+        assert id_calls == [pressure_model]
+        assert ((tmp_path / "live.ndjson").read_bytes()
+                == log_frame_by_frame(frames, pressure_model,
+                                      tmp_path / "by_frame.ndjson"))
 
     def test_corrupt_frame_mid_stream_logged_and_skipped(self, sweep_pool,
                                                          pressure_model,
