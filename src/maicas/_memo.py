@@ -1,0 +1,43 @@
+"""Bounded per-process memo for the seed-independent calibration fits.
+
+calibrate_baseline, fit_reader and fit_scenario_coupling are deterministic
+functions of frozen dataclasses and numbers, and a campaign calls them with
+the same device again and again. Each keeps its last results here.
+
+Keys are the repr of the arguments, not the arguments themselves: values
+that compare equal but differ (8 and 8.0, 0.0 and -0.0, also nested inside
+a DeviceGeometry) get separate entries, where a tuple key would merge them.
+Only returned values are stored, so a failing call raises on every call.
+"""
+
+from __future__ import annotations
+
+import functools
+import threading
+from collections import OrderedDict
+
+# Entries kept per function; the least recently used one is dropped first.
+MEMO_SIZE = 32
+
+
+def memo(function):
+    """Wrap function with a bounded least-recently-used memo. The plain
+    function stays reachable as __wrapped__."""
+    entries: OrderedDict[str, object] = OrderedDict()
+    lock = threading.Lock()
+
+    @functools.wraps(function)
+    def memoized(*args, **kwargs):
+        key = repr((args, kwargs))
+        with lock:
+            if key in entries:
+                entries.move_to_end(key)
+                return entries[key]
+        value = function(*args, **kwargs)
+        with lock:
+            entries[key] = value
+            if len(entries) > MEMO_SIZE:
+                entries.popitem(last=False)
+        return value
+
+    return memoized

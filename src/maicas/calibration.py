@@ -230,10 +230,13 @@ def parse_points(text: str, source: str = "<string>") -> list[tuple[float, float
         if len(fields) != 2:
             raise DomainError(f"{source}: malformed data row {row!r}")
         try:
-            points.append((float(fields[0]), float(fields[1])))
+            x, y = float(fields[0]), float(fields[1])
         except ValueError:
             raise DomainError(
                 f"{source}: non-numeric data row {row!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"{source}: non-finite data row {row!r}")
+        points.append((x, y))
     return points
 
 

@@ -15,6 +15,7 @@ import json
 
 from scipy import special
 
+from ._memo import memo
 from .errors import CalibrationFailed, DomainError
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
                        LoopGeometry, Rest, SubstrateStack, apply_strain,
@@ -220,6 +221,7 @@ class CalibrationBounds:
     finger_length_pivot: float = 1000.0  # μm, preferred overlap scale
 
 
+@memo
 def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
                        target_depth_db: float = -14.0,
                        bounds: CalibrationBounds | None = None) -> ModelCalibration:
@@ -235,7 +237,8 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
     stochastic steps, well under the evaluation budget.
 
     Raises CalibrationFailed when the target is unreachable inside the
-    bounds or the joint dip residual stays above tolerance.
+    bounds or the joint dip residual stays above tolerance. A process fits
+    each argument set once (see maicas._memo); failures are not kept.
     """
     from . import readout  # deferred: readout imports this module's types
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._memo import memo
 from .circuit import LumpedCircuit, loop_inductance
 from .errors import CalibrationFailed, DomainError
 from .geometry import DeviceGeometry
@@ -160,6 +161,7 @@ def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
     return float(f[i]), float(mags[i])
 
 
+@memo
 def fit_reader(circuit: LumpedCircuit, target_depth_db: float = -14.0,
                x_ratio: float = 0.1) -> ReaderCouple:
     """Choose a reader that realizes the requested dip depth at the tank
@@ -169,7 +171,8 @@ def fit_reader(circuit: LumpedCircuit, target_depth_db: float = -14.0,
     largest value for which the reflection target stays reachable, solve the
     resulting quadratic for the undercoupled input-resistance root, map that
     resistance to a coupling coefficient, then polish the coupling with a
-    secant iteration against the actually realized dip depth.
+    secant iteration against the actually realized dip depth. A process
+    fits each argument set once (see maicas._memo); failures are not kept.
     """
     if target_depth_db >= 0:
         raise DomainError(

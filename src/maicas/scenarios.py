@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
+from ._memo import memo
 from .calibration import CalibrationModel, _line_fit, fit_linear
 from .circuit import ModelCalibration, calibrate_baseline, lumped_from_geometry
 from .dsp import ResonanceEstimate, extract_resonance
@@ -95,6 +96,8 @@ class ExperimentConfig:
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DomainError("measurand_grid must be sorted ascending")
         object.__setattr__(self, "measurand_grid", grid)
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
             raise DomainError(f"repeats must be >= 1, got {self.repeats}")
         if self.noise_sigma_db < 0:
@@ -203,6 +206,7 @@ def _noiseless_slope(mode: str, coupling: float, config: ExperimentConfig,
     return slope
 
 
+@memo
 def fit_scenario_coupling(mode: str, target_sensitivity: float,
                           device: DeviceGeometry, cal: ModelCalibration) -> float:
     """Fit the one free kinematic parameter of a mode so the noiseless
@@ -210,7 +214,9 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
 
     The sensitivity is monotone in the parameter, so a bracketed root solve
     is exact and deterministic. Raises CalibrationFailed when the target is
-    non-positive or beyond what the strain validity window allows.
+    non-positive or beyond what the strain validity window allows. A
+    process fits each argument set once (see maicas._memo); failures are
+    not kept.
     """
     if mode not in ("epicardial_strain", "graft_pressure",
                     "stent_displacement", "joint_bend"):

@@ -24,6 +24,10 @@ _GRID_RTOL = 1e-9
 def _sweep_from_columns(freqs: np.ndarray, mags: np.ndarray, source: str) -> S11Sweep:
     if freqs.size < 2:
         raise DomainError(f"{source}: need at least 2 data rows")
+    finite = np.isfinite(freqs) & np.isfinite(mags)
+    if not finite.all():
+        raise DomainError(f"{source}: non-finite value in data row "
+                          f"{int(np.argmin(finite)) + 1}")
     grid = np.linspace(freqs[0], freqs[-1], freqs.size)
     step = grid[1] - grid[0]
     if step <= 0 or np.max(np.abs(freqs - grid)) > _GRID_RTOL * abs(step) + 1e-12:

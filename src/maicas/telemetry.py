@@ -297,13 +297,34 @@ class GatewayStats:
     reconnects: int
 
 
+def _drop_torn_tail(path: Path) -> int:
+    """Cut a partial last line, left by a writer that stopped mid-record,
+    back to the last newline. Returns the size kept (0 for a missing file)."""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return 0
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return size
+        fh.seek(0)
+        kept = fh.read().rfind(b"\n") + 1
+        fh.truncate(kept)
+        return kept
+
+
 class _LogWriter:
     """Append-only NDJSON log. The first line of a fresh file names the
-    schema."""
+    schema. A torn last line is dropped before the first append, so each
+    record starts on its own line."""
 
     def __init__(self, path):
         self.path = Path(path)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        fresh = _drop_torn_tail(self.path) == 0
         self._fh = open(self.path, "a", encoding="utf-8")
         if fresh:
             self._write_line(json.dumps({"schema": LOG_SCHEMA}))
@@ -320,14 +341,22 @@ class _LogWriter:
 
 
 def read_log(path) -> list[dict]:
-    """Parse an NDJSON log, checking the schema line."""
+    """Parse an NDJSON log, checking the schema line. A line that is not
+    JSON raises DomainError naming the path and the line number."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DomainError(f"{path}: empty log")
-    head = json.loads(lines[0])
-    if head.get("schema") != LOG_SCHEMA:
+    entries = []
+    for number, line in enumerate(lines, 1):
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise DomainError(
+                f"{path}: line {number} is not JSON ({exc.msg})") from None
+    head = entries[0]
+    if not isinstance(head, dict) or head.get("schema") != LOG_SCHEMA:
         raise DomainError(f"{path}: unknown log schema {head!r}")
-    return [json.loads(line) for line in lines[1:]]
+    return entries[1:]
 
 
 def process_frames(frames, model: CalibrationModel, log_path) -> dict[str, int]:

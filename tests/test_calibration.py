@@ -249,6 +249,8 @@ class TestPointsCsv:
 
     @pytest.mark.parametrize("body", [
         "x\n0.0\n", "x,y_hz\n0.0\n", "x,y_hz\n0.0,abc\n", "",
+        "x,y_hz\n0.0,1.7e9\n1.0,nan\n2.0,1.72e9\n",
+        "x,y_hz\n0.0,1.7e9\ninf,1.71e9\n2.0,1.72e9\n",
     ])
     def test_rejects_malformed(self, body):
         with pytest.raises(DomainError):

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maicas.calibration import fit_linear
 from maicas.circuit import ModelCalibration
 from maicas.cli import main
-from maicas.readout import add_noise, s11_spectrum
+from maicas.readout import S11Sweep, add_noise, s11_spectrum
 from maicas.scenarios import default_config
 from maicas.sweepio import write_sweep
 from maicas.telemetry import encode_frame, read_log, split_dump, start_server
@@ -94,16 +95,17 @@ def broken_json(obj: dict, defect: str, numeric_key: str) -> str:
     return json.dumps(obj)
 
 
+def assert_one_error_line(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 class TestStrictJson:
     """A defective model or config file is exit 1 with one JSON error line
     on stderr, never a traceback."""
-
-    def assert_one_error_line(self, capsys, *argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "DomainError"
 
     @pytest.mark.parametrize("defect", DEFECTS)
     @pytest.mark.parametrize("command", ["invert", "extract", "replay"])
@@ -127,7 +129,7 @@ class TestStrictJson:
             "replay": ["replay", "--frames", str(dump),
                        "--model", str(model_path), "--log", str(log)],
         }[command]
-        self.assert_one_error_line(capsys, *argv)
+        assert_one_error_line(capsys, *argv)
         assert not log.exists()
 
     @pytest.mark.parametrize("defect", DEFECTS)
@@ -136,10 +138,44 @@ class TestStrictJson:
         config_path = tmp_path / "config.json"
         config_path.write_text(
             broken_json(config, defect, "noise_sigma_db"))
-        self.assert_one_error_line(capsys, "simulate", "--config",
-                                   str(config_path),
-                                   "--out", str(tmp_path / "run"))
+        assert_one_error_line(capsys, "simulate", "--config",
+                              str(config_path),
+                              "--out", str(tmp_path / "run"))
         assert not (tmp_path / "run").exists()
+
+
+class TestInputBoundaries:
+    """Negative seeds and non-finite numbers in input files are exit 1 with
+    one JSON error line, not a traceback or a NaN result."""
+
+    def test_negative_seed_flag(self, capsys, tmp_path):
+        assert_one_error_line(capsys, "simulate", "--mode", "aging",
+                              "--out", str(tmp_path / "run"), "--seed", "-1")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_in_config(self, capsys, tmp_path):
+        config = json.loads(default_config("aging").to_json())
+        config["seed"] = -1
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert_one_error_line(capsys, "simulate", "--config", str(config_path),
+                              "--out", str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    def test_nan_row_in_points(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("x,y_hz\n0.0,1.7e9\n1.0,nan\n2.0,1.72e9\n")
+        assert_one_error_line(capsys, "fit", "--points", str(points))
+
+    @pytest.mark.parametrize("name", ["sweep.csv", "sweep.s1p"])
+    def test_nan_magnitude_in_sweep(self, capsys, tmp_path, rest_circuit,
+                                    reader, name):
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        mags = sweep.magnitude_db.copy()
+        mags[int(np.argmin(mags)) + 1] = np.nan
+        path = tmp_path / name
+        write_sweep(S11Sweep(1.5e9, 2.0e9, 201, mags), path)
+        assert_one_error_line(capsys, "extract", str(path))
 
 
 class TestFit:

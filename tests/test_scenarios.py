@@ -31,6 +31,7 @@ class TestConfigValidation:
         {"mode": "epicardial_strain", "measurand_grid": ()},
         {"mode": "epicardial_strain", "measurand_grid": (5.0, 0.0)},
         {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0), "repeats": 0},
+        {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0), "seed": -1},
         {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),
          "noise_sigma_db": -0.1},
         {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),

@@ -53,6 +53,8 @@ class TestTouchstone:
         "# HZ S DB R 50\n1.0e9 -1.0 0.0\n",               # single point
         "# HZ S DB R 50\n1.0e9 -1.0 0.0\n1.4e9 -2.0 0.0\n2.0e9 -1.0 0.0\n",
         "# HZ S DB R 50\napple -1.0 0.0\n2.0e9 -2.0 0.0\n",
+        "# HZ S DB R 50\n1.0e9 -1.0 0.0\n1.5e9 nan 0.0\n2.0e9 -1.0 0.0\n",
+        "# HZ S DB R 50\n1.0e9 -1.0 0.0\nnan -9.0 0.0\n2.0e9 -1.0 0.0\n",
         "",
     ])
     def test_rejects_malformed(self, body, tmp_path):
@@ -81,6 +83,9 @@ class TestCsv:
         "frequency_hz,magnitude_db\n1.0e9,-1.0\n",
         "frequency_hz,magnitude_db\n1.0e9,-1.0\n1.2e9,-2.0\n2.0e9,-1.0\n",
         "frequency_hz,magnitude_db\n1.0e9,abc\n2.0e9,-1.0\n",
+        "frequency_hz,magnitude_db\n1.0e9,-1.0\n1.5e9,nan\n2.0e9,-1.0\n",
+        "frequency_hz,magnitude_db\n1.0e9,-1.0\n1.5e9,-inf\n2.0e9,-1.0\n",
+        "frequency_hz,magnitude_db\n1.0e9,-1.0\nnan,-9.0\n2.0e9,-1.0\n",
         "",
     ])
     def test_rejects_malformed(self, body, tmp_path):

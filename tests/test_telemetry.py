@@ -315,12 +315,41 @@ class TestLog:
         assert second.count('"schema"') == 1
         assert len(read_log(log)) == 4
 
+    def test_torn_tail_is_dropped_before_the_next_append(
+            self, sweep_pool, pressure_model, tmp_path):
+        first = frames_from_sweeps(sweep_pool[:2])
+        then = frames_from_sweeps(sweep_pool[2:4])
+        log = tmp_path / "telemetry.ndjson"
+        process_frames(first, pressure_model, log)
+        whole = log.read_bytes()
+        log.write_bytes(whole[:-20])  # the writer stopped mid-record
+        with pytest.raises(DomainError, match="telemetry.ndjson: line 3 "):
+            read_log(log)
+        process_frames(then, pressure_model, log)
+        kept = whole[:whole.rindex(b"\n", 0, len(whole) - 20) + 1]
+        assert log.read_bytes().startswith(kept)
+        clean = tmp_path / "clean.ndjson"
+        process_frames(first[:1], pressure_model, clean)
+        process_frames(then, pressure_model, clean)
+        assert log.read_bytes() == clean.read_bytes()
+
+    def test_torn_schema_line_is_rewritten(self, sweep_pool, pressure_model,
+                                           tmp_path):
+        log = tmp_path / "telemetry.ndjson"
+        log.write_text('{"schema": "mai')
+        process_frames(frames_from_sweeps(sweep_pool[:2]), pressure_model, log)
+        assert log.read_text().count('"schema"') == 1
+        assert len(read_log(log)) == 2
+
     def test_read_log_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text('{"schema": "other/9"}\n')
         with pytest.raises(DomainError):
             read_log(path)
         path.write_text("")
+        with pytest.raises(DomainError):
+            read_log(path)
+        path.write_text('["schema"]\n')
         with pytest.raises(DomainError):
             read_log(path)
 
