@@ -11,7 +11,7 @@ from typing import Literal, Sequence
 
 from .errors import (DegenerateInput, DegenerateModel, DomainError,
                      IncompleteCycle)
-from .jsonio import load_json
+from .jsonio import load_json, read_text
 
 MeasurandUnit = Literal["percent-strain", "mmHg", "um", "degrees",
                         "rel-permittivity", "days"]
@@ -241,7 +241,7 @@ def parse_points(text: str, source: str = "<string>") -> list[tuple[float, float
 
 
 def read_points(path) -> list[tuple[float, float]]:
-    return parse_points(Path(path).read_text(), str(path))
+    return parse_points(read_text(path), str(path))
 
 
 def write_points(points: Sequence[tuple[float, float]], path) -> None:

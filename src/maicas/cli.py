@@ -21,7 +21,7 @@ from .circuit import calibrate_baseline, lumped_from_geometry
 from .dsp import extract_resonance
 from .errors import DomainError, MaicasError
 from .geometry import DeviceGeometry, Rest, device_from_dict
-from .jsonio import parse_json
+from .jsonio import parse_json, read_text
 from .scenarios import (MODES, ExperimentConfig, default_config,
                         run_experiment)
 from .sweepio import read_sweep
@@ -49,7 +49,7 @@ def _resolve_points(name_or_path: str) -> tuple[str, str | None]:
     bend.csv). Returns the CSV text and, for bundled tables, their unit."""
     path = Path(name_or_path)
     if path.exists():
-        return path.read_text(), BUNDLED_TABLES.get(path.name)
+        return read_text(path), BUNDLED_TABLES.get(path.name)
     if name_or_path in BUNDLED_TABLES:
         text = resources.files("maicas").joinpath(
             "data", name_or_path).read_text()
@@ -63,7 +63,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
             "--config and --mode are mutually exclusive; the config file "
             "already fixes the mode")
     if args.config is not None:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
+        config = ExperimentConfig.from_json(read_text(args.config))
     elif args.mode is not None:
         config = default_config(args.mode)
     else:
@@ -106,7 +106,7 @@ def _cmd_extract(args) -> int:
         "refined": estimate.refined,
     }
     if args.model is not None:
-        model = CalibrationModel.from_json(Path(args.model).read_text())
+        model = CalibrationModel.from_json(read_text(args.model))
         inv = invert(model, estimate.f0_hat)
         out["measurand_value"] = inv.value
         out["measurand_unit"] = model.measurand_unit
@@ -132,7 +132,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    model = CalibrationModel.from_json(Path(args.model).read_text())
+    model = CalibrationModel.from_json(read_text(args.model))
     inv = invert(model, args.f0)
     print(json.dumps({
         "measurand_value": inv.value,
@@ -145,7 +145,7 @@ def _cmd_invert(args) -> int:
 def _cmd_calibrate_baseline(args) -> int:
     if args.config is not None:
         device = device_from_dict(
-            parse_json(Path(args.config).read_text(), "device"))
+            parse_json(read_text(args.config), "device"))
     else:
         device = DeviceGeometry()
     cal = calibrate_baseline(device, args.f0, args.depth_db)
@@ -179,7 +179,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_gateway(args) -> int:
-    model = CalibrationModel.from_json(Path(args.model).read_text())
+    model = CalibrationModel.from_json(read_text(args.model))
     port = args.port if args.port is not None else telemetry.default_port()
     stats = telemetry.gateway(
         args.host, port, model, args.log,
@@ -214,7 +214,7 @@ def _cmd_replay(args) -> int:
     if args.model is None:
         raise DomainError("--log requires --model for inversion")
     frames = _frames_for_args(args)
-    model = CalibrationModel.from_json(Path(args.model).read_text())
+    model = CalibrationModel.from_json(read_text(args.model))
     counts = telemetry.process_frames(frames, model, args.log)
     print(json.dumps(counts))
     return 0
@@ -356,3 +356,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m maicas.cli
+    entrypoint()

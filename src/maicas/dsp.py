@@ -5,11 +5,16 @@ smoothed trace with the lowest-frequency tie break, then a 3-point parabolic
 refinement on the raw samples around that index. Dip depth is measured
 against the median of the smoothed sweep.
 
-The medians (baseline and the noise MAD) are taken with np.partition at
-fixed ranks. They are exact np.median equivalents: the middle value for odd
-lengths, the mean of the two middle values for even lengths, equal to
+The medians (baseline and the noise MAD) are taken by partitioning a copy
+at fixed ranks. They are exact np.median equivalents: the middle value for
+odd lengths, the mean of the two middle values for even lengths, equal to
 np.median bit for bit. NaN propagates: a sweep holding a NaN gives a NaN
-median, as with np.median.
+median, as with np.median. The NaN scans behind that run only when the
+smoothed trace is not finite. A finite trace means finite samples, since
+every sample weighs into it. Passive finite samples lie between the most
+negative float and 1e-9, so the residual (sample minus trace) is finite
+too, and its deviations from their median can overflow to infinity but
+never turn NaN. So the scans could not find anything.
 """
 
 from __future__ import annotations
@@ -52,20 +57,23 @@ def _smooth(mags: np.ndarray) -> np.ndarray:
     return np.convolve(padded, _KERNEL, mode="valid")
 
 
-def _median(values: np.ndarray) -> np.float64:
+def _median(values: np.ndarray, *, nan_free: bool = False) -> np.float64:
     """np.median of a nonempty 1-D float64 array without its dispatch
     overhead: the same bits for NaN-free input, NaN for input with a NaN.
+    nan_free=True skips the NaN scan; the caller vouches for the input.
 
     The middle values are summed onto 0.0, as np.mean sums them. That turns
     a -0.0 result into 0.0, so the result does not depend on which of two
     tied signed zeros a partition puts at the middle rank.
     """
-    if np.isnan(values).any():
+    if not nan_free and np.isnan(values).any():
         return np.float64(np.nan)
-    k = values.size // 2
-    if values.size % 2:
-        return np.partition(values, k)[k] + 0.0
-    part = np.partition(values, (k - 1, k))
+    part = values.copy()
+    k = part.size // 2
+    if part.size % 2:
+        part.partition(k)
+        return part[k] + 0.0
+    part.partition((k - 1, k))
     return (part[k - 1] + part[k] + 0.0) / 2
 
 
@@ -84,8 +92,9 @@ def extract_resonance(sweep: S11Sweep,
         raise DomainError(f"min_depth_db must be > 0, got {min_depth_db}")
     raw = sweep.magnitude_db
     smoothed = _smooth(raw)
-    i = int(np.argmin(smoothed))  # argmin takes the first (lowest) frequency
-    baseline = float(_median(smoothed))
+    nan_free = bool(np.isfinite(smoothed).all())
+    i = int(smoothed.argmin())  # argmin takes the first (lowest) frequency
+    baseline = float(_median(smoothed, nan_free=nan_free))
     depth = baseline - float(smoothed[i])
     if depth < min_depth_db:
         raise NoResonance(
@@ -107,7 +116,8 @@ def extract_resonance(sweep: S11Sweep,
     f0_hat = sweep.f_start + (i + delta) * step
 
     residual = raw - smoothed
-    mad = float(_median(np.abs(residual - _median(residual))))
+    centre = _median(residual, nan_free=nan_free)
+    mad = float(_median(np.abs(residual - centre), nan_free=nan_free))
     sigma_hat = max(1.4826 * mad, 1e-12)
     return ResonanceEstimate(
         f0_hat=float(f0_hat),

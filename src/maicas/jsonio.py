@@ -1,4 +1,8 @@
-"""Strict JSON decoding into the package's frozen dataclasses.
+"""Strict decoding of the package's text inputs.
+
+read_text reads every input file the package parses (sweeps, points, logs,
+models and configs) as UTF-8, and names the file in a DomainError when it
+is not.
 
 One loader serves calibration models, baseline calibrations, device
 geometry and experiment configs. The keys must be exactly the dataclass
@@ -13,8 +17,19 @@ import json
 import math
 import types
 import typing
+from pathlib import Path
 
 from .errors import DomainError
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file. Bytes that are not UTF-8 raise DomainError
+    naming the file; a missing file raises the OSError as before."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
 
 
 def parse_json(text: str, what: str):

@@ -71,13 +71,13 @@ class S11Sweep:
                 f"need 0 < f_start < f_stop, got [{self.f_start}, {self.f_stop}]")
         if self.n_points < 2:
             raise DomainError(f"n_points must be >= 2, got {self.n_points}")
-        mags = np.asarray(self.magnitude_db, dtype=np.float64)
+        # one call converts and copies, so the caller's array stays its own
+        mags = np.array(self.magnitude_db, dtype=np.float64)
         if mags.shape != (self.n_points,):
             raise DomainError(
                 f"magnitude_db length {mags.shape} does not match n_points {self.n_points}")
-        if np.any(mags > 1e-9):
+        if (mags > 1e-9).any():
             raise DomainError("reflection magnitude above 0 dB is not passive")
-        mags = mags.copy()
         mags.setflags(write=False)
         object.__setattr__(self, "magnitude_db", mags)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
+from .jsonio import read_text
 from .readout import S11Sweep
 
 TOUCHSTONE_OPTION_LINE = "# HZ S DB R 50"
@@ -45,7 +46,7 @@ def write_touchstone(sweep: S11Sweep, path) -> None:
 def read_touchstone(path) -> S11Sweep:
     freqs, mags = [], []
     saw_options = False
-    for raw_line in Path(path).read_text().splitlines():
+    for raw_line in read_text(path).splitlines():
         line = raw_line.split("!", 1)[0].strip()
         if not line:
             continue
@@ -78,7 +79,7 @@ def write_csv(sweep: S11Sweep, path) -> None:
 
 
 def read_csv(path) -> S11Sweep:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
     if not rows or rows[0].replace(" ", "") != CSV_HEADER:
         raise DomainError(f"{path}: expected header '{CSV_HEADER}'")

@@ -35,6 +35,7 @@ from .dsp import extract_resonance
 from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
                      GridTooCoarse, InvalidGrid, MalformedLength, NoResonance,
                      UnsupportedVersion)
+from .jsonio import read_text
 from .readout import S11Sweep
 
 MAGIC = b"MAIC"
@@ -239,19 +240,26 @@ def _snake_case(name: str) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
 
 
-def _record_to_json(record: MeasurandRecord) -> str:
-    obj = {
-        "device_id": record.device_id,
-        "timestamp_us": record.timestamp_us,
-        "f0_hat_hz": record.f0_hat_hz,
-        "measurand_value": record.measurand_value,
-        "measurand_unit": record.measurand_unit,
-        "calibration_id": record.calibration_id,
-        "quality": record.quality,
-    }
-    if record.error is not None:
-        obj["error"] = record.error
-    return json.dumps(obj)
+def _record_tail(unit: str, cal_id: str, quality: str,
+                 error: str | None) -> str:
+    """The end of a record line, from the key after measurand_value to the
+    newline, as json.dumps writes it."""
+    obj = {"measurand_unit": unit, "calibration_id": cal_id,
+           "quality": quality}
+    if error is not None:
+        obj["error"] = error
+    return json.dumps(obj)[1:] + "\n"
+
+
+def _json_number(value) -> str:
+    """json.dumps of one number or None; finite floats, ints and None skip
+    the encoder."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)  # NaN, Infinity, -Infinity, other types
 
 
 def record_from_frame(raw: bytes, model: CalibrationModel, *,
@@ -320,21 +328,37 @@ def _drop_torn_tail(path: Path) -> int:
 class _LogWriter:
     """Append-only NDJSON log. The first line of a fresh file names the
     schema. A torn last line is dropped before the first append, so each
-    record starts on its own line."""
+    record starts on its own line.
+
+    A record line is what json.dumps writes for the record's fields, error
+    only when set. The string fields after the numbers (unit, calibration
+    id, quality, error) repeat from record to record, so their JSON is
+    encoded once per combination and kept with the writer."""
 
     def __init__(self, path):
         self.path = Path(path)
         fresh = _drop_torn_tail(self.path) == 0
         self._fh = open(self.path, "a", encoding="utf-8")
+        self._tails: dict[tuple, str] = {}
         if fresh:
-            self._write_line(json.dumps({"schema": LOG_SCHEMA}))
+            self._write(json.dumps({"schema": LOG_SCHEMA}) + "\n")
 
-    def _write_line(self, line: str) -> None:
-        self._fh.write(line + "\n")
+    def _write(self, text: str) -> None:
+        self._fh.write(text)
         self._fh.flush()
 
     def append(self, record: MeasurandRecord) -> None:
-        self._write_line(_record_to_json(record))
+        key = (record.measurand_unit, record.calibration_id, record.quality,
+               record.error)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = _record_tail(*key)
+        self._write(
+            f'{{"device_id": {_json_number(record.device_id)}, '
+            f'"timestamp_us": {_json_number(record.timestamp_us)}, '
+            f'"f0_hat_hz": {_json_number(record.f0_hat_hz)}, '
+            f'"measurand_value": {_json_number(record.measurand_value)}, '
+            + tail)
 
     def close(self) -> None:
         self._fh.close()
@@ -343,7 +367,7 @@ class _LogWriter:
 def read_log(path) -> list[dict]:
     """Parse an NDJSON log, checking the schema line. A line that is not
     JSON raises DomainError naming the path and the line number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DomainError(f"{path}: empty log")
     entries = []

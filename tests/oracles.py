@@ -6,14 +6,16 @@ inductance by Neumann double integrals instead of a current-sheet closed
 form, CRC-32 bit by bit instead of zlib. Tests compare the package against
 these routes; the two sides share no formula code.
 
-The one exception is reference_extract_resonance: the dip extractor as it
-was before its medians and padding were rewritten for speed, kept verbatim
-(np.pad + np.median) so tests can require the fast version to agree bit for
-bit.
+The exceptions are reference_extract_resonance and reference_record_to_json:
+the dip extractor as it was before its medians and padding were rewritten
+for speed (np.pad + np.median), and the log record encoder as it was before
+the writer kept its JSON tails (a dict through json.dumps). Both are kept
+verbatim so tests can require the fast versions to agree bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -213,3 +215,20 @@ def reference_extract_resonance(sweep,
         snr_estimate=depth / sigma_hat,
         refined=refined,
     )
+
+
+# --- reference log record encoder (dict + json.dumps) ------------------------
+
+def reference_record_to_json(record) -> str:
+    obj = {
+        "device_id": record.device_id,
+        "timestamp_us": record.timestamp_us,
+        "f0_hat_hz": record.f0_hat_hz,
+        "measurand_value": record.measurand_value,
+        "measurand_unit": record.measurand_unit,
+        "calibration_id": record.calibration_id,
+        "quality": record.quality,
+    }
+    if record.error is not None:
+        obj["error"] = record.error
+    return json.dumps(obj)

@@ -177,6 +177,53 @@ class TestInputBoundaries:
         write_sweep(S11Sweep(1.5e9, 2.0e9, 201, mags), path)
         assert_one_error_line(capsys, "extract", str(path))
 
+    @staticmethod
+    def spoil_utf8(path: Path, keep: bytes) -> None:
+        """Put a 0xff byte, which UTF-8 never uses, after the first keep."""
+        path.write_bytes(path.read_bytes().replace(keep, keep + b"\xff", 1))
+
+    @pytest.mark.parametrize("name", ["sweep.csv", "sweep.s1p"])
+    def test_non_utf8_sweep(self, capsys, tmp_path, rest_circuit, reader,
+                            name):
+        path = tmp_path / name
+        write_sweep(s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201),
+                    path)
+        self.spoil_utf8(path, b"\n1")
+        assert_one_error_line(capsys, "extract", str(path))
+
+    def test_non_utf8_points(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("x,y_hz\n0.0,1.7e9\n1.0,1.71e9\n")
+        self.spoil_utf8(points, b"1.0,")
+        assert_one_error_line(capsys, "fit", "--points", str(points))
+
+    @pytest.mark.parametrize("command", ["invert", "extract", "replay"])
+    def test_non_utf8_model(self, capsys, tmp_path, rest_circuit, reader,
+                            command):
+        model = tmp_path / "model.json"
+        model.write_text(fit_linear([(0.0, 1.7e9), (1.0, 1.71e9)],
+                                    "mmHg").to_json())
+        self.spoil_utf8(model, b'"mm')
+        argv = {
+            "invert": ["invert", "--f0", "1.7e9"],
+            "extract": ["extract", str(tmp_path / "sweep.s1p")],
+            "replay": ["replay", "--frames", str(tmp_path / "dump.bin"),
+                       "--log", str(tmp_path / "log.ndjson")],
+        }[command]
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        write_sweep(sweep, tmp_path / "sweep.s1p")
+        (tmp_path / "dump.bin").write_bytes(encode_frame(1, 0, sweep))
+        assert_one_error_line(capsys, *argv, "--model", str(model))
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate-baseline"])
+    def test_non_utf8_config(self, capsys, tmp_path, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": \xff}')
+        argv = [command, "--config", str(config)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "run")]
+        assert_one_error_line(capsys, *argv)
+
 
 class TestFit:
     @pytest.mark.parametrize("table,first_line", [
@@ -448,3 +495,31 @@ class TestInstalledEntryPoint:
     def test_console_script_usage_error(self):
         proc = console_script()
         assert proc.returncode == 2
+
+
+class TestModuleRun:
+    """python -m maicas.cli runs the same CLI as the console script."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, COLUMNS="80")
+        env.pop("LINES", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "maicas.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_help_is_the_snapshot(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert proc.stdout == (SNAPSHOT_DIR / "help_main.txt").read_text()
+
+    def test_domain_error_is_one_json_line(self, tmp_path):
+        proc = self.run_module("simulate", "--mode", "aging", "--out",
+                               str(tmp_path / "run"), "--seed", "-1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"] == "DomainError"
+        assert not (tmp_path / "run").exists()

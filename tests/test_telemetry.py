@@ -1,23 +1,30 @@
 import io
 import json
+import math
 import socket
 import struct
+import tempfile
 import threading
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from maicas import telemetry
 from maicas.calibration import fit_linear
 from maicas.errors import (BadMagic, ChecksumMismatch, DomainError,
-                           InvalidGrid, MalformedLength, UnsupportedVersion)
+                           FrameError, InvalidGrid, MalformedLength,
+                           UnsupportedVersion)
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
-from maicas.telemetry import (HEADER_SIZE, MAGIC, MAX_STREAM_POINTS,
-                              GatewayStats, calibration_id_of, decode_frame,
-                              default_port, encode_frame,
+from maicas.telemetry import (HEADER_SIZE, LOG_SCHEMA, MAGIC,
+                              MAX_STREAM_POINTS, GatewayStats,
+                              MeasurandRecord, calibration_id_of,
+                              decode_frame, default_port, encode_frame,
                               frames_from_sweeps, gateway, process_frames,
                               read_frame, read_log, record_from_frame,
                               split_dump, start_server, _LogWriter)
@@ -199,6 +206,79 @@ class TestCorruption:
             decode_frame(crafted_frame()[:30])
 
 
+# Header floats a hostile sender may put in a frame whose CRC it recomputed.
+_GRID_EDGES = st.one_of(
+    st.sampled_from([1.5e9, 2.0e9, 0.0, -0.0, -1.0e9, math.nan, math.inf,
+                     -math.inf]),
+    st.floats())
+
+
+def mostly(valid, hostile):
+    """The valid value three times in four, else a hostile one."""
+    return st.one_of(st.just(valid), st.just(valid), st.just(valid), hostile)
+
+
+@st.composite
+def rebuilt_frames(draw):
+    """Frames with a valid CRC over arbitrary header fields and payload."""
+    mags = draw(arrays("<f4", st.integers(0, 40),
+                       elements=st.floats(width=32)))
+    payload = mags.tobytes() + draw(mostly(b"", st.binary(max_size=7)))
+    f_start, f_stop = draw(mostly((1.5e9, 2.0e9),
+                                  st.tuples(_GRID_EDGES, _GRID_EDGES)))
+    header = struct.pack(
+        "<4sBQQddI",
+        draw(mostly(MAGIC, st.binary(min_size=4, max_size=4))),
+        draw(mostly(1, st.integers(0, 255))),
+        draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(0, 2 ** 64 - 1)),
+        f_start, f_stop,
+        draw(mostly(mags.size, st.integers(0, 2 ** 32 - 1))))
+    return recompute_crc(header + payload)
+
+
+class TestHostileFrames:
+    """Whatever arrives, decode_frame decodes it or raises a FrameError, and
+    record_from_frame turns it into a record without raising."""
+
+    @staticmethod
+    def decodes_or_frame_error(raw, model):
+        try:
+            frame = decode_frame(raw)
+        except FrameError:
+            pass
+        else:
+            assert frame.n_points == frame.magnitude_db.size >= 2
+            assert 0 < frame.f_start < frame.f_stop < math.inf
+        with np.errstate(all="ignore"):
+            assert isinstance(record_from_frame(raw, model), MeasurandRecord)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, raw, pressure_model):
+        self.decodes_or_frame_error(raw, pressure_model)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw=rebuilt_frames())
+    def test_frames_with_recomputed_crc(self, raw, pressure_model):
+        self.decodes_or_frame_error(raw, pressure_model)
+
+    def test_non_passive_sample_is_a_domain_error_record(
+            self, sweep_pool, pressure_model, tmp_path):
+        mags = sweep_pool[0].magnitude_db.copy()
+        mags[10] = 0.5
+        raw = crafted_frame(device_id=42, timestamp=4242, mags=mags)
+        expected = {
+            "device_id": 42, "timestamp_us": 4242, "f0_hat_hz": None,
+            "measurand_value": None, "measurand_unit": "mmHg",
+            "calibration_id": calibration_id_of(pressure_model),
+            "quality": "no_resonance", "error": "domain_error"}
+        record = record_from_frame(raw, pressure_model)
+        assert json.loads(oracles.reference_record_to_json(record)) == expected
+        log = tmp_path / "log.ndjson"
+        process_frames([raw], pressure_model, log)
+        assert read_log(log) == [expected]
+
+
 class TestStreamFraming:
     def test_split_concatenated_dump(self, sweep_pool):
         frames = frames_from_sweeps(sweep_pool[:7], device_id=4)
@@ -341,6 +421,25 @@ class TestLog:
         assert log.read_text().count('"schema"') == 1
         assert len(read_log(log)) == 2
 
+    def test_read_log_rejects_non_utf8(self, sweep_pool, pressure_model,
+                                       tmp_path):
+        log = tmp_path / "telemetry.ndjson"
+        process_frames(frames_from_sweeps(sweep_pool[:2]), pressure_model, log)
+        log.write_bytes(log.read_bytes().replace(b"mmHg", b"mm\xffHg", 1))
+        with pytest.raises(DomainError, match="telemetry.ndjson: not UTF-8"):
+            read_log(log)
+
+    def test_each_record_is_flushed(self, sweep_pool, pressure_model,
+                                    tmp_path):
+        log = tmp_path / "telemetry.ndjson"
+        writer = _LogWriter(log)
+        try:
+            for n, raw in enumerate(frames_from_sweeps(sweep_pool[:3]), 2):
+                writer.append(record_from_frame(raw, pressure_model))
+                assert log.read_bytes().count(b"\n") == n
+        finally:
+            writer.close()
+
     def test_read_log_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text('{"schema": "other/9"}\n')
@@ -352,6 +451,43 @@ class TestLog:
         path.write_text('["schema"]\n')
         with pytest.raises(DomainError):
             read_log(path)
+
+
+_NUMBERS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.nan,
+                                                  math.inf, -math.inf]),
+                     st.floats())
+_U64 = st.integers(0, 2 ** 64 - 1)
+_NAMES = st.one_of(st.sampled_from(["mmHg", "percent-strain", 'say "no"',
+                                    "back\\slash", "\u00b5m", "\u2103",
+                                    "tab\tnew\nline"]),
+                   st.text(max_size=12))
+
+_RECORDS = st.builds(
+    MeasurandRecord, device_id=_U64, timestamp_us=_U64, f0_hat_hz=_NUMBERS,
+    measurand_value=_NUMBERS, measurand_unit=_NAMES, calibration_id=_NAMES,
+    quality=st.sampled_from(["ok", "extrapolated", "no_resonance"]),
+    error=st.one_of(st.none(), st.sampled_from(["checksum_mismatch",
+                                                "domain_error"]), _NAMES))
+
+
+class TestRecordLines:
+    """The writer's lines against the dict + json.dumps encoder it
+    replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=st.lists(_RECORDS, min_size=1, max_size=6))
+    def test_lines_match_reference_encoder(self, batch):
+        batch = batch + batch[::-1]  # repeats reuse the writer's tails
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.ndjson"
+            writer = _LogWriter(path)
+            for record in batch:
+                writer.append(record)
+            writer.close()
+            written = path.read_bytes()
+        lines = [json.dumps({"schema": LOG_SCHEMA})]
+        lines += [oracles.reference_record_to_json(r) for r in batch]
+        assert written == ("\n".join(lines) + "\n").encode()
 
 
 def free_port() -> int:
