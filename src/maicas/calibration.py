@@ -20,13 +20,20 @@ MEASURAND_UNITS = ("percent-strain", "mmHg", "um", "degrees",
                    "rel-permittivity", "days")
 
 
+_OUT_OF_RANGE = "points too far apart for least squares in float range"
+
+
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept via centered normal equations."""
+    """Least-squares slope and intercept via centered normal equations.
+    Values whose sums leave the float range raise DegenerateInput."""
     n = len(xs)
-    x_bar = math.fsum(xs) / n
-    y_bar = math.fsum(ys) / n
-    sxx = math.fsum((x - x_bar) ** 2 for x in xs)
-    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    try:
+        x_bar = math.fsum(xs) / n
+        y_bar = math.fsum(ys) / n
+        sxx = math.fsum((x - x_bar) ** 2 for x in xs)
+        sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    except (OverflowError, ValueError):  # ValueError: fsum of inf and -inf
+        raise DegenerateInput(_OUT_OF_RANGE) from None
     if sxx == 0.0:
         raise DegenerateInput("all stimulus values identical; slope undefined")
     slope = sxy / sxx
@@ -75,10 +82,13 @@ def fit_linear(points: Sequence[tuple[float, float]],
     if n == 2:
         r_squared, residual_sd = 1.0, 0.0
     else:
-        ss_res = math.fsum((y - (intercept + slope * x)) ** 2
-                           for x, y in zip(xs, ys))
-        y_bar = math.fsum(ys) / n
-        ss_tot = math.fsum((y - y_bar) ** 2 for y in ys)
+        try:
+            ss_res = math.fsum((y - (intercept + slope * x)) ** 2
+                               for x, y in zip(xs, ys))
+            y_bar = math.fsum(ys) / n
+            ss_tot = math.fsum((y - y_bar) ** 2 for y in ys)
+        except (OverflowError, ValueError):
+            raise DegenerateInput(_OUT_OF_RANGE) from None
         r_squared = 1.0 if ss_tot == 0.0 else min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
         residual_sd = math.sqrt(ss_res / (n - 2))
     return CalibrationModel(

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, asdict, replace
 import json
 
-from scipy import special
-
 from ._memo import memo
 from .errors import CalibrationFailed, DomainError
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
@@ -28,15 +26,60 @@ VACUUM_PERMEABILITY = 4.0e-7 * math.pi  # H/m
 # Square current-sheet coefficients (c1, c2, c3, c4).
 _SHEET_COEFFS_SQUARE = (1.27, 2.07, 0.18, 0.13)
 
+# Cephes ellpk: MACHEP = 2**-53 splits the rational form from the asymptote
+_MACHEP = 2.0 ** -53
+_LOG4 = 1.3862943611198906188  # log(4), Cephes C1
+
+
+def _ellpk(x: float) -> float:
+    """Complete elliptic integral of the first kind as a function of the
+    complementary parameter x = 1 - m = 1 - k*k.
+
+    A port of the Cephes ``ellpk`` that scipy's ``special.ellipk(m)`` and
+    ``ellipkm1(1 - m)`` both call: for 2**-53 < x <= 1 the rational form
+    P(x) - log(x)*Q(x), below it the leading terms of the logarithmic
+    singularity, log(4) - log(x)/2, then inf at x = 0 and NaN for x < 0 or
+    NaN; x > 1 maps onto 1/x. The two degree-10 polynomials are evaluated
+    by Horner's rule in Cephes' ``polevl`` order, highest power first, so
+    the result is bit-identical to scipy's.
+    """
+    if x > 1.0:
+        return 0.0 if x == math.inf else _ellpk(1.0 / x) / math.sqrt(x)
+    if x > _MACHEP:
+        p = ((((((((((1.37982864606273237150e-4 * x
+                      + 2.28025724005875567385e-3) * x
+                     + 7.97404013220415179367e-3) * x
+                    + 9.85821379021226008714e-3) * x
+                   + 6.87489687449949877925e-3) * x
+                  + 6.18901033637687613229e-3) * x
+                 + 8.79078273952743772254e-3) * x
+                + 1.49380448916805252718e-2) * x
+               + 3.08851465246711995998e-2) * x
+              + 9.65735902811690126535e-2) * x
+             + 1.38629436111989062502)
+        q = ((((((((((2.94078955048598507511e-5 * x
+                      + 9.14184723865917226571e-4) * x
+                     + 5.94058303753167793257e-3) * x
+                    + 1.54850516649762399335e-2) * x
+                   + 2.39089602715924892727e-2) * x
+                  + 3.01204715227604046988e-2) * x
+                 + 3.73774314173823228969e-2) * x
+                + 4.88280347570998239232e-2) * x
+               + 7.03124996963957469739e-2) * x
+              + 1.24999999999870820058e-1) * x
+             + 4.99999999999999999821e-1)
+        return p - math.log(x) * q
+    if x > 0.0:
+        return _LOG4 - 0.5 * math.log(x)
+    if x == 0.0:
+        return math.inf
+    return math.nan
+
 
 def _ellipk(k: float) -> float:
-    """Complete elliptic integral of the first kind as a function of the
-    modulus k (scipy takes the parameter m = k^2)."""
-    m = k * k
-    if m > 0.99:
-        # near the logarithmic singularity use the 1-m formulation
-        return float(special.ellipkm1(1.0 - m))
-    return float(special.ellipk(m))
+    """Complete elliptic integral of the first kind K(k) of the modulus k,
+    bit-identical to scipy's ``special.ellipk(k*k)``."""
+    return _ellpk(1.0 - k * k)
 
 
 def _kk_ratio(k: float) -> float:
@@ -81,6 +124,10 @@ def ide_capacitance(ide: IdeGeometry, stack: SubstrateStack) -> float:
     eps_sum = eps_top + eps_bot
     c_int = eps_sum * VACUUM_PERMITTIVITY * length * _kk_ratio(k_int)
     c_ext = eps_sum * VACUUM_PERMITTIVITY * length * _kk_ratio(k_ext)
+    if not (0.0 < c_int < math.inf and 0.0 < c_ext < math.inf):
+        raise DomainError(
+            f"electrode cells of width {ide.trace_width} μm, gap {ide.gap} μm "
+            f"and length {ide.finger_length} μm have no finite capacitance")
     n = ide.finger_count
     if n == 2:
         # single gap between two exterior half-cells in series
@@ -102,6 +149,8 @@ def loop_inductance(loop: LoopGeometry) -> float:
         raise DomainError("loop turns do not fit the strained outer side")
     d_avg = 0.5 * (d_out + d_in)
     rho = (d_out - d_in) / (d_out + d_in)
+    if rho == 0.0:
+        raise DomainError("loop turns vanish against the outer side")
     c1, c2, c3, c4 = _SHEET_COEFFS_SQUARE
     return (0.5 * VACUUM_PERMEABILITY * n * n * d_avg * c1
             * (math.log(c2 / rho) + c3 * rho + c4 * rho * rho))
@@ -126,12 +175,15 @@ class LumpedCircuit:
     resistance: float
 
     def __post_init__(self):
-        if self.inductance <= 0:
-            raise DomainError(f"inductance must be > 0, got {self.inductance}")
-        if self.capacitance <= 0:
-            raise DomainError(f"capacitance must be > 0, got {self.capacitance}")
-        if self.resistance < 0:
-            raise DomainError(f"resistance must be >= 0, got {self.resistance}")
+        if not 0 < self.inductance < math.inf:
+            raise DomainError(
+                f"inductance must be finite and > 0, got {self.inductance}")
+        if not 0 < self.capacitance < math.inf:
+            raise DomainError(
+                f"capacitance must be finite and > 0, got {self.capacitance}")
+        if not 0 <= self.resistance < math.inf:
+            raise DomainError(
+                f"resistance must be finite and >= 0, got {self.resistance}")
 
     @property
     def f0(self) -> float:
@@ -297,7 +349,12 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
             loss_R=bounds.loss_r,
         )
 
-    c_total = 1.0 / (inductance * (2.0 * math.pi * target_f0) ** 2)
+    try:
+        c_total = 1.0 / (inductance * (2.0 * math.pi * target_f0) ** 2)
+    except ArithmeticError:  # the square overflows or the product underflows
+        raise CalibrationFailed(
+            f"no capacitance resonates at {target_f0:.6g} Hz in float range",
+            residual=abs(f_identity - target_f0)) from None
     cal = solve_stage_a(c_total)
 
     # Joint depth fit + dip recentring.

@@ -6,8 +6,9 @@ is not.
 
 One loader serves calibration models, baseline calibrations, device
 geometry and experiment configs. The keys must be exactly the dataclass
-fields, numeric fields must be finite JSON numbers, and any other shape
-raises DomainError naming the document and the field.
+fields, numeric fields must be finite JSON numbers (integers too must lie
+within the float range, since the model computes with them as floats), and
+any other shape raises DomainError naming the document and the field.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from pathlib import Path
@@ -89,4 +91,6 @@ def _field(hint, value, where: str, partial: bool):
         raise DomainError(f"{where}: expected a finite number, got {value!r}")
     if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
         raise DomainError(f"{where}: expected {hint.__name__}, got {value!r}")
+    if hint is int and abs(value) > sys.float_info.max:
+        raise DomainError(f"{where}: integer beyond the float range")
     return value

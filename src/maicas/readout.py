@@ -104,6 +104,15 @@ def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
     return z
 
 
+def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
+                   f: np.ndarray) -> np.ndarray:
+    """Reflection magnitude 20*log10|(z - z0)/(z + z0)| in dB at the
+    frequencies f, floored at 1e-300 so a perfect match stays finite."""
+    z = input_impedance(circuit, reader, f)
+    z0 = reader.reference_impedance
+    return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))
+
+
 def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
                  f_start: float, f_stop: float, n_points: int) -> S11Sweep:
     """Reflection magnitude in dB over a uniform inclusive grid."""
@@ -113,10 +122,7 @@ def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
     f = np.linspace(f_start, f_stop, n_points)
-    z = input_impedance(circuit, reader, f)
-    z0 = reader.reference_impedance
-    gamma = np.abs((z - z0) / (z + z0))
-    mags = 20.0 * np.log10(np.maximum(gamma, 1e-300))
+    mags = _reflection_db(circuit, reader, f)
     return S11Sweep(f_start, f_stop, n_points, np.minimum(mags, 0.0))
 
 
@@ -145,10 +151,7 @@ def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
     lo, hi = f0 * (1.0 - rel_span), f0 * (1.0 + rel_span)
     for _ in range(2):
         f = np.linspace(lo, hi, 2001)
-        z = input_impedance(circuit, reader, f)
-        z0 = reader.reference_impedance
-        mags = 20.0 * np.log10(np.maximum(
-            np.abs((z - z0) / (z + z0)), 1e-300))
+        mags = _reflection_db(circuit, reader, f)
         i = int(np.argmin(mags))
         step = f[1] - f[0]
         lo, hi = f[i] - 3.0 * step, f[i] + 3.0 * step
@@ -188,6 +191,10 @@ def fit_reader(circuit: LumpedCircuit, target_depth_db: float = -14.0,
 
     # (R_in - z0)^2 + x_r^2 = g^2 ((R_in + z0)^2 + x_r^2), lower root
     a = 1.0 - g * g
+    if a == 0.0:
+        raise CalibrationFailed(
+            f"target depth {target_depth_db} dB rounds to a full reflection",
+            residual=abs(target_depth_db))
     b = -2.0 * z0 * (1.0 + g * g)
     c = a * (z0 * z0 + x_r * x_r)
     disc = b * b - 4.0 * a * c

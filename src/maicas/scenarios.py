@@ -16,14 +16,13 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ._memo import memo
 from .calibration import CalibrationModel, _line_fit, fit_linear
 from .circuit import ModelCalibration, calibrate_baseline, lumped_from_geometry
 from .dsp import ResonanceEstimate, extract_resonance
-from .errors import (CalibrationFailed, DomainError, GridTooCoarse,
-                     NoResonance)
+from .errors import (CalibrationFailed, DegenerateInput, DomainError,
+                     GridTooCoarse, NoResonance)
 from .geometry import (DeviceGeometry, JointBend, Rest, RolledDisplacement,
                        RolledPressure, UniaxialStrain, device_to_dict)
 from .jsonio import load_json
@@ -59,6 +58,7 @@ DEFAULT_PRESSURE_SENSITIVITY = 0.43e6  # Hz per mmHg
 DEFAULT_LUMEN_DIAMETER = 3.18  # mm
 DEFAULT_BEND_RADIUS = 2.0      # mm
 _STRAIN_LIMIT = 0.5
+_RTOL_MIN = 4.0 * 2.0 ** -52  # brentq's smallest relative tolerance, 4 eps
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,85 @@ def _noiseless_slope(mode: str, coupling: float, config: ExperimentConfig,
     return slope
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f inside the bracket [xa, xb] by Brent's method.
+
+    A port of scipy.optimize.brentq (its C loop, with the same operations
+    in the same order, so the same root bits), except that every failure
+    scipy reports with ValueError or RuntimeError is a CalibrationFailed:
+    a tolerance out of range, f(xa) and f(xb) of one sign, a NaN value of
+    f, or no convergence within maxiter steps.
+    """
+    if xtol <= 0:
+        raise CalibrationFailed(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise CalibrationFailed(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise CalibrationFailed(f"the function value at x={x} is NaN")
+        return fx
+
+    def signbit(v: float) -> bool:
+        return math.copysign(1.0, v) < 0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise CalibrationFailed("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to an inf or a NaN, which fails the test below
+                pass
+            else:
+                limit = 3 * abs(sbis) - delta
+                if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                    # good short step
+                    spre, scur = scur, stry
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise CalibrationFailed(
+        f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 @memo
 def fit_scenario_coupling(mode: str, target_sensitivity: float,
                           device: DeviceGeometry, cal: ModelCalibration) -> float:
@@ -243,8 +322,7 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
     if residual(p_min) > 0:
         raise CalibrationFailed(
             "target sensitivity below the model floor", residual=residual(p_min))
-    p_star = float(optimize.brentq(residual, p_min, p_max,
-                                   xtol=1e-14 * p_max, rtol=8.9e-16))
+    p_star = _brentq(residual, p_min, p_max, xtol=1e-14 * p_max, rtol=8.9e-16)
     achieved = _noiseless_slope(mode, p_star, config, cal, grid)
     if abs(achieved - target_sensitivity) > 0.02 * abs(target_sensitivity):
         raise CalibrationFailed(
@@ -354,12 +432,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 failures += 1
         ok = [e.f0_hat for e in estimates if e is not None]
         if ok:
-            mean = math.fsum(ok) / len(ok)
-            if len(ok) >= 2:
-                var = math.fsum((f - mean) ** 2 for f in ok) / (len(ok) - 1)
-                sd = math.sqrt(var)
-            else:
-                sd = 0.0
+            try:
+                mean = math.fsum(ok) / len(ok)
+                if len(ok) >= 2:
+                    var = math.fsum((f - mean) ** 2 for f in ok) / (len(ok) - 1)
+                    sd = math.sqrt(var)
+                else:
+                    sd = 0.0
+            except OverflowError:
+                raise DegenerateInput(
+                    f"repeat estimates at {x!r} too far apart for a mean and "
+                    f"sd in float range") from None
         else:
             mean, sd = math.nan, math.nan
         points.append(PointResult(

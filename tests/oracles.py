@@ -11,6 +11,11 @@ the dip extractor as it was before its medians and padding were rewritten
 for speed (np.pad + np.median), and the log record encoder as it was before
 the writer kept its JSON tails (a dict through json.dumps). Both are kept
 verbatim so tests can require the fast versions to agree bit for bit.
+
+So are reference_ellipk and reference_brentq, the two scipy calls the
+package made before it ported them to pure Python (scipy is a test
+dependency only): the elliptic integral through scipy.special and
+scipy.optimize.brentq itself.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 from maicas.dsp import MIN_DEPTH_DB, SMOOTHING_WINDOW, ResonanceEstimate
 from maicas.errors import DomainError, GridTooCoarse, NoResonance
@@ -232,3 +237,18 @@ def reference_record_to_json(record) -> str:
     if record.error is not None:
         obj["error"] = record.error
     return json.dumps(obj)
+
+
+# --- the scipy calls the package made before its pure-Python ports -----------
+
+def reference_ellipk(k: float) -> float:
+    """circuit._ellipk as it was when it called scipy.special, verbatim."""
+    m = k * k
+    if m > 0.99:
+        # near the logarithmic singularity use the 1-m formulation
+        return float(special.ellipkm1(1.0 - m))
+    return float(special.ellipk(m))
+
+
+reference_ellpk = special.ellipkm1
+reference_brentq = optimize.brentq

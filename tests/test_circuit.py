@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,54 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from maicas.circuit import (CalibrationBounds, LumpedCircuit,
-                            ModelCalibration, calibrate_baseline,
+                            ModelCalibration, _ellipk, _ellpk,
+                            calibrate_baseline,
                             ide_capacitance, initial_calibration,
                             loop_inductance, lumped_from_geometry,
                             resonance_frequency)
 from maicas.errors import CalibrationFailed, DomainError
 from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
                              Rest, UniaxialStrain)
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal down to the sign of zero; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Moduli at and next to the ends of [0, 1], subnormals included.
+_EDGE_MODULI = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-160, 2.0 ** -27,
+                math.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52, 1.0]
+
+
+class TestEllipkPort:
+    """The pure-Python Cephes ellpk port against the scipy calls it
+    replaced: the same bits."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(k=st.floats(0.0, 1.0) | st.sampled_from(_EDGE_MODULI)
+           | st.floats(0.0, 1e-6).map(lambda e: 1.0 - e))
+    def test_ellipk_matches_parent_bit_for_bit(self, k):
+        assert same_bits(_ellipk(k), oracles.reference_ellipk(k))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=st.floats() | st.floats(0.0, 2.0 ** -53)
+           | st.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -53,
+                              math.nextafter(2.0 ** -53, 1.0), 1.0,
+                              math.nextafter(1.0, 2.0), math.inf]))
+    def test_ellpk_matches_scipy_ellipkm1(self, x):
+        assert same_bits(_ellpk(x), float(oracles.reference_ellpk(x)))
+
+    def test_every_branch_is_reached(self):
+        # rational form, logarithmic asymptote, singularity, domain error
+        assert 1.5 < _ellpk(0.5) < 2.0
+        assert _ellpk(2.0 ** -60) == pytest.approx(
+            math.log(4.0) + 30.0 * math.log(2.0), rel=1e-15)
+        assert _ellpk(0.0) == math.inf and _ellipk(1.0) == math.inf
+        assert math.isnan(_ellpk(-1.0)) and math.isnan(_ellpk(math.nan))
+        assert _ellpk(4.0) == pytest.approx(_ellpk(0.25) / 2.0, rel=1e-15)
 
 
 class TestResonance:

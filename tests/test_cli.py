@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import re
@@ -8,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maicas.calibration import fit_linear
-from maicas.circuit import ModelCalibration
+from maicas.circuit import ModelCalibration, calibrate_baseline
 from maicas.cli import main
+from maicas.geometry import DeviceGeometry
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
-from maicas.scenarios import default_config
+from maicas.scenarios import MODES, default_config
 from maicas.sweepio import write_sweep
 from maicas.telemetry import encode_frame, read_log, split_dump, start_server
 
@@ -215,6 +220,45 @@ class TestInputBoundaries:
         (tmp_path / "dump.bin").write_bytes(encode_frame(1, 0, sweep))
         assert_one_error_line(capsys, *argv, "--model", str(model))
 
+    @pytest.mark.parametrize("mode,path,value,error", [
+        ("aging", ("device", "ide", "finger_count"), 10 ** 400, "DomainError"),
+        ("aging", ("device", "loop", "turns"), 10 ** 400, "DomainError"),
+        ("aging", ("device", "ide", "gap"), 1e308, "DomainError"),
+        ("aging", ("device", "loop", "outer_side"), 1e308, "DomainError"),
+        ("aging", ("target_f0",), 5e-324, "CalibrationFailed"),
+        ("aging", ("target_depth_db",), -5e-324, "CalibrationFailed"),
+        ("aging", ("measurand_grid",), [0.0, 1e200], "DegenerateInput"),
+        ("epicardial_strain", ("f_stop",), 3.5e163, "DegenerateInput"),
+        ("graft_pressure", ("calibration", "ide_finger_length"), 1e308,
+         "DomainError"),
+    ], ids=lambda v: ("/".join(v) if isinstance(v, tuple)
+                      else "10**400" if v == 10 ** 400 else None))
+    def test_extreme_config_value(self, capsys, tmp_path, baseline_cal,
+                                  mode, path, value, error):
+        """Finite values so extreme that the arithmetic would overflow or
+        divide by zero are a named error, not a traceback."""
+        cal = baseline_cal if path[0] == "calibration" else None
+        config = json.loads(default_config(
+            mode, n_points=201, repeats=2, calibration=cal).to_json())
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config",
+                                 str(config_path), "--out",
+                                 str(tmp_path / "run"))
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert json.loads(err)["error"] == error
+
+    def test_points_beyond_float_squares(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("x,y_hz\n0,1e200\n1,-1e200\n2,1e200\n")
+        code, out, err = run_cli(capsys, "fit", "--points", str(points))
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        assert json.loads(err)["error"] == "DegenerateInput"
+
     @pytest.mark.parametrize("command", ["simulate", "calibrate-baseline"])
     def test_non_utf8_config(self, capsys, tmp_path, command):
         config = tmp_path / "config.json"
@@ -223,6 +267,147 @@ class TestInputBoundaries:
         if command == "simulate":
             argv += ["--out", str(tmp_path / "run")]
         assert_one_error_line(capsys, *argv)
+
+
+# Any JSON value, nested a little, and numbers of every size and sign.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+# The extremes: subnormals, the largest floats, integers beyond them.
+extremes = (st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+            .flatmap(lambda x: st.sampled_from([x, -x]))
+            | st.integers(2 ** 1023, 2 ** 1100).flatmap(
+                lambda n: st.sampled_from([n, -n])))
+numbers = st.integers() | st.floats() | extremes
+finite = st.floats(allow_nan=False, allow_infinity=False) | extremes
+
+# Fields that set how much work a valid config asks for, and the values
+# they may take, so each example stays fast.
+SIZE_FIELDS = {
+    "n_points": st.integers(-2, 301),
+    "repeats": st.integers(-1, 3),
+    "measurand_grid": st.lists(numbers, max_size=5),
+}
+
+
+@st.composite
+def mutated(draw, template: dict):
+    """template (a JSON object, nested objects included) with up to four
+    edits: a value replaced, a key deleted, or an unknown key added."""
+    obj = json.loads(json.dumps(template))
+    for _ in range(draw(st.integers(0, 4))):
+        parent = obj
+        while parent:
+            key = draw(st.sampled_from(sorted(parent)))
+            if not (isinstance(parent[key], dict) and parent[key]
+                    and draw(st.booleans())):
+                break
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace"] * 4 + ["delete", "add"]))
+        if action == "add" or not parent:
+            parent[draw(st.text(max_size=6))] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif key in SIZE_FIELDS:
+            parent[key] = draw(SIZE_FIELDS[key])
+        else:
+            value = parent[key]
+            scaled = (st.floats(-4.0, 4.0).map(lambda x: value * x)
+                      if isinstance(value, (int, float)) and abs(value) < 1e300
+                      else st.nothing())
+            parent[key] = draw(scaled | finite | st.integers() | json_values)
+    return obj
+
+
+def json_documents(templates):
+    """Text of a mutated template, of any JSON value, or a cut-off one.
+    templates is a function returning the list, so that a failing example
+    does not print the whole list."""
+    picked = st.integers(0, len(templates()) - 1).flatmap(
+        lambda i: mutated(templates()[i]))
+    docs = st.one_of(picked, picked, picked, json_values).map(json.dumps)
+    cut = docs.flatmap(
+        lambda text: st.integers(0, len(text)).map(lambda n: text[:n]))
+    return st.one_of(docs, docs, docs, cut)
+
+
+@functools.cache
+def config_templates() -> list[dict]:
+    """Each mode's default config, small and fast, without a calibration
+    and with the stock device's baseline calibration."""
+    cal = json.loads(calibrate_baseline(DeviceGeometry()).to_json())
+    templates = []
+    for mode in MODES:
+        config = json.loads(default_config(mode, n_points=201,
+                                           repeats=2).to_json())
+        templates += [config, {**config, "calibration": cal}]
+    return templates
+
+
+@functools.cache
+def model_templates() -> list[dict]:
+    return [json.loads(fit_linear([(50.0, 1.676e9), (200.0, 1.741e9)],
+                                  "mmHg").to_json())]
+
+
+def run_main_quietly(*argv) -> tuple[int, str]:
+    """main(argv) with stdout and stderr captured; returns the exit code and
+    stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+class TestArbitraryJson:
+    """main() on any --config or --model document exits 0, 1 or 2 and never
+    raises; an exit 1 is one JSON error line."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, rest_circuit, reader):
+        path = tmp_path_factory.mktemp("arbitrary-json")
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        write_sweep(sweep, path / "sweep.s1p")
+        (path / "dump.bin").write_bytes(
+            encode_frame(1, 0, sweep) + encode_frame(1, 1, sweep))
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=json_documents(config_templates))
+    def test_simulate_config(self, workdir, doc):
+        config = workdir / "config.json"
+        config.write_text(doc)
+        assert_clean_exit(*run_main_quietly(
+            "simulate", "--config", str(config),
+            "--out", str(workdir / "run")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=json_documents(model_templates),
+           command=st.sampled_from(["invert", "extract", "replay"]),
+           f0=st.floats() | st.integers())
+    def test_model(self, workdir, doc, command, f0):
+        model = workdir / "model.json"
+        model.write_text(doc)
+        log = workdir / "log.ndjson"
+        log.unlink(missing_ok=True)
+        argv = {
+            "invert": ["invert", "--f0", str(f0)],
+            "extract": ["extract", str(workdir / "sweep.s1p")],
+            "replay": ["replay", "--frames", str(workdir / "dump.bin"),
+                       "--log", str(log)],
+        }[command]
+        assert_clean_exit(*run_main_quietly(*argv, "--model", str(model)))
 
 
 class TestFit:
@@ -325,7 +510,7 @@ class TestSimulate:
     def test_writes_artifacts_deterministically(self, capsys, tmp_path,
                                                 baseline_cal, device):
         cfg_path = tmp_path / "config.json"
-        from maicas.scenarios import default_config
+        from maicas.scenarios import MODES, default_config
         cfg_path.write_text(default_config(
             "graft_pressure", device=device, calibration=baseline_cal,
             repeats=2).to_json())
@@ -352,7 +537,7 @@ class TestSimulate:
 
     def test_export_sweeps(self, capsys, tmp_path, baseline_cal, device):
         cfg_path = tmp_path / "config.json"
-        from maicas.scenarios import default_config
+        from maicas.scenarios import MODES, default_config
         cfg_path.write_text(default_config(
             "joint_bend", device=device, calibration=baseline_cal,
             repeats=1, noise_sigma_db=0.0).to_json())
@@ -372,7 +557,7 @@ class TestSimulate:
     def test_summary_parses_as_points(self, capsys, tmp_path, baseline_cal,
                                       device):
         cfg_path = tmp_path / "config.json"
-        from maicas.scenarios import default_config
+        from maicas.scenarios import MODES, default_config
         cfg_path.write_text(default_config(
             "epicardial_strain", device=device, calibration=baseline_cal,
             repeats=1, noise_sigma_db=0.0).to_json())
@@ -388,7 +573,7 @@ class TestReplayAndGateway:
     def campaign(self, tmp_path, baseline_cal, device, capsys):
         """Config file plus the model fitted from its own simulated
         campaign, so inverted values land back on the stimulus grid."""
-        from maicas.scenarios import default_config
+        from maicas.scenarios import MODES, default_config
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(default_config(
             "graft_pressure", device=device, calibration=baseline_cal,

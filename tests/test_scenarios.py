@@ -1,11 +1,16 @@
 import json
+import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError)
-from maicas.scenarios import (DEFAULT_GRIDS, ExperimentConfig, default_config,
-                              derive_seed, fit_scenario_coupling,
-                              media_shift, run_experiment)
+from maicas.scenarios import (DEFAULT_GRIDS, ExperimentConfig, _brentq,
+                              default_config, derive_seed,
+                              fit_scenario_coupling, media_shift,
+                              run_experiment)
 from maicas.sweepio import read_touchstone
 
 
@@ -144,6 +149,71 @@ class TestCouplingFits:
         with pytest.raises(DomainError):
             fit_scenario_coupling("media_stability", 1.0e6,
                                   device, baseline_cal)
+
+
+def _shape(kind: int, root: float, scale: float):
+    """A function with a sign change at root: smooth, odd-order, flat
+    between jumps, or NaN near the root. scale spans 1e-200..1e200 so that
+    products of function values underflow or overflow."""
+    if kind == 0:
+        return lambda x: scale * (x - root)
+    if kind == 1:
+        return lambda x: scale * (x - root) ** 3
+    if kind == 2:
+        return lambda x: scale * math.tanh(x - root)
+    if kind == 3:
+        return lambda x: scale * math.expm1(x - root)
+    if kind == 4:
+        return lambda x: scale * (1.0 if x > root else -1.0)
+    if kind == 5:
+        return lambda x: scale * (math.floor((x - root) * 3.0) + 0.5)
+    return lambda x: math.nan if abs(x - root) < 1e-3 else scale * (x - root)
+
+
+def root_or_error(solve, f, a, b, xtol, rtol, maxiter):
+    try:
+        return struct.pack("<d", solve(f, a, b, xtol=xtol, rtol=rtol,
+                                       maxiter=maxiter))
+    except (ValueError, RuntimeError, CalibrationFailed):
+        return "raised"
+
+
+class TestBrentqPort:
+    """The pure-Python brentq against scipy.optimize.brentq: the same root
+    bits, or an error (CalibrationFailed where scipy raises ValueError or
+    RuntimeError)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.integers(0, 6), a=st.floats(-20.0, 20.0),
+           width=st.floats(1e-3, 100.0), flip=st.booleans(),
+           root_at=st.floats(-0.1, 1.1),
+           scale=st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e),
+           sign=st.sampled_from([1.0, -1.0]),
+           xtol=st.floats(1e-300, 1.0) | st.sampled_from([0.0, -1.0, 5e-324]),
+           rtol=st.sampled_from([8.881784197001252e-16, 8.9e-16, 1e-10,
+                                 1e-3, 1e-16]),
+           maxiter=st.sampled_from([100, 20, 5]))
+    def test_matches_scipy(self, kind, a, width, flip, root_at, scale, sign,
+                           xtol, rtol, maxiter):
+        b = a + width
+        if flip:
+            a, b = b, a
+        f = _shape(kind, a + root_at * (b - a), sign * scale)
+        assert (root_or_error(_brentq, f, a, b, xtol, rtol, maxiter)
+                == root_or_error(oracles.reference_brentq, f, a, b, xtol,
+                                 rtol, maxiter))
+
+    @pytest.mark.parametrize("f,a,b,xtol,rtol,maxiter,message", [
+        (lambda x: x - 5.0, 0.0, 1.0, 1e-12, 8.9e-16, 100, "different signs"),
+        (lambda x: math.nan, 0.0, 1.0, 1e-12, 8.9e-16, 100, "NaN"),
+        (lambda x: x, -1.0, 2.0, 0.0, 8.9e-16, 100, "xtol"),
+        (lambda x: x, -1.0, 2.0, 1e-12, 1e-16, 100, "rtol"),
+        (math.tanh, -1.0, 2.0, 1e-300, 8.9e-16, 3, "converge"),
+    ])
+    def test_failures_are_calibration_failed(self, f, a, b, xtol, rtol,
+                                             maxiter, message):
+        with pytest.raises(CalibrationFailed, match=message):
+            _brentq(f, a, b, xtol, rtol, maxiter)
 
 
 class TestRunExperiment:
