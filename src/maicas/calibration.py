@@ -11,19 +11,16 @@ from typing import Literal, Sequence
 
 from .errors import (DegenerateInput, DegenerateModel, DomainError,
                      IncompleteCycle)
-from .jsonio import load_json, read_text
+from .jsonio import float_columns, load_json, read_text
 
-MeasurandUnit = Literal["percent-strain", "mmHg", "um", "degrees",
-                        "rel-permittivity", "days"]
-
-MEASURAND_UNITS = ("percent-strain", "mmHg", "um", "degrees",
-                   "rel-permittivity", "days")
-
+# measurand unit -> the symbol the CLI prints after a slope
+MEASURAND_UNITS = {"percent-strain": "%", "mmHg": "mmHg", "um": "um",
+                   "degrees": "deg", "rel-permittivity": "eps_r", "days": "day"}
 
 _OUT_OF_RANGE = "points too far apart for least squares in float range"
 
 
-def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope and intercept via centered normal equations.
     Values whose sums leave the float range raise DegenerateInput."""
     n = len(xs)
@@ -78,7 +75,7 @@ def fit_linear(points: Sequence[tuple[float, float]],
         raise DegenerateInput(f"need at least 2 points, got {n}")
     xs = [float(p[0]) for p in points]
     ys = [float(p[1]) for p in points]
-    slope, intercept = _line_fit(xs, ys)
+    slope, intercept = line_fit(xs, ys)
     if n == 2:
         r_squared, residual_sd = 1.0, 0.0
     else:
@@ -111,7 +108,10 @@ class InversionResult:
 
 def invert(model: CalibrationModel, f0_hz: float) -> InversionResult:
     """Measurand value whose model line passes through f0_hz. Flagged as
-    extrapolated when f0_hz falls outside the fitted frequency range."""
+    extrapolated when f0_hz falls outside the fitted frequency range. A
+    non-finite f0_hz raises DomainError."""
+    if not math.isfinite(f0_hz):
+        raise DomainError(f"f0_hz must be finite, got {f0_hz}")
     if model.slope == 0.0:
         raise DegenerateModel("zero slope; inversion undefined")
     value = (f0_hz - model.intercept) / model.slope
@@ -217,7 +217,7 @@ def drift_metrics(series: AgingSeries) -> DriftMetrics:
         raise DegenerateInput("drift needs at least 2 samples")
     days = [d for d, _ in series.entries]
     f0s = [f for _, f in series.entries]
-    slope, _ = _line_fit(days, f0s)
+    slope, _ = line_fit(days, f0s)
     return DriftMetrics(
         slope_hz_per_day=slope,
         total_shift_hz=f0s[-1] - f0s[0],
@@ -228,25 +228,13 @@ POINTS_CSV_HEADER = "x,y_hz"
 
 
 def parse_points(text: str, source: str = "<string>") -> list[tuple[float, float]]:
-    """Parse (measurand, f0_hz) pairs from CSV text with header x,y_hz.
-    Lines starting with '#' are comments."""
-    rows = [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-    if not rows or rows[0].replace(" ", "") != POINTS_CSV_HEADER:
-        raise DomainError(f"{source}: expected header '{POINTS_CSV_HEADER}'")
-    points = []
-    for row in rows[1:]:
-        fields = row.split(",")
-        if len(fields) != 2:
-            raise DomainError(f"{source}: malformed data row {row!r}")
-        try:
-            x, y = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise DomainError(
-                f"{source}: non-numeric data row {row!r}") from None
+    """Parse (measurand, f0_hz) pairs from CSV text with header x,y_hz,
+    read as jsonio.float_columns reads it. Values must be finite."""
+    points = list(zip(*float_columns(text.splitlines(), source,
+                                     header=POINTS_CSV_HEADER, sep=",")))
+    for n, (x, y) in enumerate(points, 1):
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"{source}: non-finite data row {row!r}")
-        points.append((x, y))
+            raise DomainError(f"{source}: non-finite value in data row {n}")
     return points
 
 

@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -22,25 +22,12 @@ from .dsp import extract_resonance
 from .errors import DomainError, MaicasError
 from .geometry import DeviceGeometry, Rest, device_from_dict
 from .jsonio import parse_json, read_text
-from .scenarios import (MODES, ExperimentConfig, default_config,
+from .scenarios import (MODE_SPECS, MODES, ExperimentConfig, default_config,
                         run_experiment)
 from .sweepio import read_sweep
 
-UNIT_SYMBOLS = {
-    "percent-strain": "%",
-    "mmHg": "mmHg",
-    "um": "um",
-    "degrees": "deg",
-    "rel-permittivity": "eps_r",
-    "days": "day",
-}
-
-BUNDLED_TABLES = {
-    "strain.csv": "percent-strain",
-    "pressure.csv": "mmHg",
-    "displacement.csv": "um",
-    "bend.csv": "degrees",
-}
+BUNDLED_TABLES = {spec.table: spec.unit for spec in MODE_SPECS.values()
+                  if spec.table is not None}
 
 
 def _resolve_points(name_or_path: str) -> tuple[str, str | None]:
@@ -89,7 +76,7 @@ def _cmd_simulate(args) -> int:
     (out_dir / "config.json").write_text(config.to_json() + "\n")
     if args.export_sweeps:
         result.export_sweeps(out_dir / "sweeps")
-    symbol = UNIT_SYMBOLS[result.summary.measurand_unit]
+    symbol = MEASURAND_UNITS[result.summary.measurand_unit]
     print(f"wrote {summary_path}")
     print(f"b = {result.summary.slope / 1e6:.6g} MHz/{symbol}")
     print(f"failures = {result.failure_count}")
@@ -120,7 +107,7 @@ def _cmd_fit(args) -> int:
     unit = args.unit or bundled_unit or "percent-strain"
     points = parse_points(text, args.points)
     model = fit_linear(points, unit)
-    symbol = UNIT_SYMBOLS[model.measurand_unit]
+    symbol = MEASURAND_UNITS[model.measurand_unit]
     print(f"b = {model.slope / 1e6:.6g} MHz/{symbol}")
     print(f"a = {model.intercept / 1e9:.6g} GHz")
     print(f"r_squared = {model.r_squared:.6g}")
@@ -187,13 +174,7 @@ def _cmd_gateway(args) -> int:
         reconnect=not args.no_reconnect,
         max_connect_attempts=args.max_connect_attempts,
     )
-    print(json.dumps({
-        "frames_seen": stats.frames_seen,
-        "records_ok": stats.records_ok,
-        "records_extrapolated": stats.records_extrapolated,
-        "records_error": stats.records_error,
-        "reconnects": stats.reconnects,
-    }))
+    print(json.dumps(asdict(stats)))
     return 0
 
 

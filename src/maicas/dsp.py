@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NoResonance
-from .readout import S11Sweep
+from .readout import S11Sweep, vertex_offset
 
 SMOOTHING_WINDOW = 5
 MIN_DEPTH_DB = 3.0
@@ -103,17 +103,9 @@ def extract_resonance(sweep: S11Sweep,
         raise GridTooCoarse("dip sits on a sweep endpoint; widen the grid")
 
     step = (sweep.f_stop - sweep.f_start) / (sweep.n_points - 1)
-    y0, y1, y2 = float(raw[i - 1]), float(raw[i]), float(raw[i + 1])
-    denom = y0 - 2.0 * y1 + y2
-    refined = False
-    delta = 0.0
-    if denom > 0:
-        delta = 0.5 * (y0 - y2) / denom
-        if abs(delta) <= 1.0:
-            refined = True
-        else:
-            delta = 0.0
-    f0_hat = sweep.f_start + (i + delta) * step
+    delta = vertex_offset(float(raw[i - 1]), float(raw[i]), float(raw[i + 1]))
+    refined = delta is not None and abs(delta) <= 1.0
+    f0_hat = sweep.f_start + (i + (delta if refined else 0.0)) * step
 
     residual = raw - smoothed
     centre = _median(residual, nan_free=nan_free)

@@ -11,7 +11,7 @@ All types are immutable values; deformation never mutates the rest geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError, OutOfModelRange
 from .jsonio import from_dict
@@ -257,30 +257,7 @@ def apply_strain(device: DeviceGeometry, eps: float) -> DeviceGeometry:
 
 def device_to_dict(device: DeviceGeometry) -> dict:
     """Plain nested dict for JSON round trips."""
-    return {
-        "ide": {
-            "finger_count": device.ide.finger_count,
-            "finger_length": device.ide.finger_length,
-            "trace_width": device.ide.trace_width,
-            "gap": device.ide.gap,
-        },
-        "loop": {
-            "outer_side": device.loop.outer_side,
-            "turns": device.loop.turns,
-            "trace_width": device.loop.trace_width,
-            "turn_spacing": device.loop.turn_spacing,
-            "axis_scale": device.loop.axis_scale,
-        },
-        "stack": {
-            "base_thickness": device.stack.base_thickness,
-            "encapsulation_thickness": device.stack.encapsulation_thickness,
-            "substrate_rel_permittivity": device.stack.substrate_rel_permittivity,
-            "medium_rel_permittivity": device.stack.medium_rel_permittivity,
-            "metal_thickness": device.stack.metal_thickness,
-        },
-        "rest_length": device.rest_length,
-        "poisson_ratio": device.poisson_ratio,
-    }
+    return asdict(device)
 
 
 def device_from_dict(obj: dict) -> DeviceGeometry:

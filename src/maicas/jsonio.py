@@ -2,7 +2,7 @@
 
 read_text reads every input file the package parses (sweeps, points, logs,
 models and configs) as UTF-8, and names the file in a DomainError when it
-is not.
+is not. float_columns reads the numeric rows of sweep and points files.
 
 One loader serves calibration models, baseline calibrations, device
 geometry and experiment configs. The keys must be exactly the dataclass
@@ -32,6 +32,35 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
+
+
+def float_columns(lines, source: str, *, header: str | None = None,
+                  sep: str | None = None, widths: tuple[int, ...] = (2,)
+                  ) -> tuple[list[float], list[float]]:
+    """The first two fields of each data row, as two columns of floats.
+
+    Each line is stripped once; blank lines and lines that then start with
+    '#' are skipped. With a header, the first line left must equal it,
+    spaces aside. A row of a field count not in widths, or whose first two
+    fields are not numbers, raises DomainError naming source and the row.
+    """
+    rows = [ln for ln in map(str.strip, lines) if ln and ln[0] != "#"]
+    if header is not None:
+        if not rows or rows[0].replace(" ", "") != header:
+            raise DomainError(f"{source}: expected header '{header}'")
+        del rows[0]
+    xs, ys = [], []
+    for row in rows:
+        fields = row.split(sep)
+        if len(fields) not in widths:
+            raise DomainError(f"{source}: malformed data row {row!r}")
+        try:
+            xs.append(float(fields[0]))
+            ys.append(float(fields[1]))
+        except ValueError:
+            raise DomainError(
+                f"{source}: non-numeric data row {row!r}") from None
+    return xs, ys
 
 
 def parse_json(text: str, what: str):

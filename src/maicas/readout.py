@@ -108,9 +108,10 @@ def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
                    f: np.ndarray) -> np.ndarray:
     """Reflection magnitude 20*log10|(z - z0)/(z + z0)| in dB at the
     frequencies f, floored at 1e-300 so a perfect match stays finite."""
-    z = input_impedance(circuit, reader, f)
-    z0 = reader.reference_impedance
-    return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = input_impedance(circuit, reader, f)
+        z0 = reader.reference_impedance
+        return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))
 
 
 def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
@@ -142,6 +143,16 @@ def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
                     np.minimum(noisy, 0.0))
 
 
+def vertex_offset(y0: float, y1: float, y2: float) -> float | None:
+    """Offset, in grid steps from the middle sample, of the vertex of the
+    parabola through three equally spaced samples; None unless the parabola
+    opens upward."""
+    denom = y0 - 2.0 * y1 + y2
+    if denom > 0:
+        return 0.5 * (y0 - y2) / denom
+    return None
+
+
 def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
            rel_span: float = 0.05) -> tuple[float, float]:
     """Location and depth of the reflection dip near the tank resonance,
@@ -157,9 +168,8 @@ def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
         lo, hi = f[i] - 3.0 * step, f[i] + 3.0 * step
     if 0 < i < len(f) - 1:
         y0, y1, y2 = mags[i - 1], mags[i], mags[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom > 0:
-            delta = 0.5 * (y0 - y2) / denom
+        delta = vertex_offset(y0, y1, y2)
+        if delta is not None:
             return float(f[i] + delta * step), float(y1 - 0.125 * (y0 - y2) * delta)
     return float(f[i]), float(mags[i])
 

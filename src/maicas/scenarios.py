@@ -11,49 +11,81 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._memo import memo
-from .calibration import CalibrationModel, _line_fit, fit_linear
+from .calibration import CalibrationModel, fit_linear, line_fit
 from .circuit import ModelCalibration, calibrate_baseline, lumped_from_geometry
 from .dsp import ResonanceEstimate, extract_resonance
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
 from .geometry import (DeviceGeometry, JointBend, Rest, RolledDisplacement,
-                       RolledPressure, UniaxialStrain, device_to_dict)
+                       RolledPressure, UniaxialStrain)
 from .jsonio import load_json
 from .readout import ReaderCouple, S11Sweep, add_noise, fit_reader, s11_spectrum
 from .sweepio import write_touchstone
 
-MODES = ("epicardial_strain", "graft_pressure", "stent_displacement",
-         "joint_bend", "media_stability", "aging")
 
-MODE_UNITS = {
-    "epicardial_strain": "percent-strain",
-    "graft_pressure": "mmHg",
-    "stent_displacement": "um",
-    "joint_bend": "degrees",
-    "media_stability": "rel-permittivity",
-    "aging": "days",
+@dataclass(frozen=True)
+class ModeSpec:
+    """Everything one campaign mode adds to the shared pipeline."""
+
+    unit: str                 # a calibration.MEASURAND_UNITS key
+    grid: tuple[float, ...]   # default measurand grid
+    # (config, coupling, x) -> (device, deformation state) at grid value x
+    state: Callable[[ExperimentConfig, float, float], tuple]
+    coupling_field: str | None = None  # config field of an explicit coupling
+    # effective strain per unit measurand at coupling 1 (linear kinematics);
+    # None for a mode without a kinematic coupling to fit
+    unit_strain: Callable[[ExperimentConfig], float] | None = None
+    # Hz per unit measurand fitted when the config sets no coupling, unless
+    # coupling 1 lands within band of it
+    target: float | None = None
+    band: float | None = None
+    table: str | None = None  # bundled points table of the mode
+
+
+def _in_medium(device: DeviceGeometry, rel_permittivity: float) -> DeviceGeometry:
+    return replace(device, stack=replace(
+        device.stack, medium_rel_permittivity=rel_permittivity))
+
+
+MODE_SPECS = {
+    "epicardial_strain": ModeSpec(
+        "percent-strain", (0.0, 5.0, 10.0, 15.0, 20.0),
+        lambda c, k, x: (c.device, UniaxialStrain(k * x / 100.0)),
+        coupling_field="strain_scale", unit_strain=lambda c: 1.0 / 100.0,
+        target=2.9e6, band=0.3e6, table="strain.csv"),
+    "graft_pressure": ModeSpec(
+        "mmHg", (50.0, 100.0, 150.0, 200.0),
+        lambda c, k, x: (c.device, RolledPressure(c.lumen_diameter, x, k)),
+        coupling_field="compliance", unit_strain=lambda c: 1.0,
+        target=0.43e6, table="pressure.csv"),
+    "stent_displacement": ModeSpec(
+        "um", (0.0, 100.0, 200.0, 300.0, 400.0),
+        lambda c, k, x: (c.device, RolledDisplacement(
+            c.lumen_diameter, k * x, c.expansion_positive)),
+        coupling_field="displacement_scale",
+        unit_strain=lambda c: 1.0 / (c.lumen_diameter * 1000.0),
+        table="displacement.csv"),
+    "joint_bend": ModeSpec(
+        "degrees", (0.0, 15.0, 30.0, 60.0, 90.0),
+        lambda c, k, x: (c.device, JointBend(x, k)),
+        coupling_field="bend_radius",
+        unit_strain=lambda c: 1000.0 * math.pi / 180.0 / c.device.rest_length,
+        table="bend.csv"),
+    "media_stability": ModeSpec(
+        "rel-permittivity", (1.0, 10.0, 40.0, 80.0),
+        lambda c, k, x: (_in_medium(c.device, x), Rest())),
+    "aging": ModeSpec(
+        "days", (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0),
+        lambda c, k, x: (c.device, Rest())),
 }
-
-DEFAULT_GRIDS = {
-    "epicardial_strain": (0.0, 5.0, 10.0, 15.0, 20.0),
-    "graft_pressure": (50.0, 100.0, 150.0, 200.0),
-    "stent_displacement": (0.0, 100.0, 200.0, 300.0, 400.0),
-    "joint_bend": (0.0, 15.0, 30.0, 60.0, 90.0),
-    "media_stability": (1.0, 10.0, 40.0, 80.0),
-    "aging": (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0),
-}
-
-# sensitivities resolved when no explicit coupling is configured
-DEFAULT_STRAIN_SENSITIVITY = 2.9e6    # Hz per percent strain
-STRAIN_SENSITIVITY_BAND = 0.3e6       # natural model accepted inside this
-DEFAULT_PRESSURE_SENSITIVITY = 0.43e6  # Hz per mmHg
+MODES = tuple(MODE_SPECS)
 
 DEFAULT_LUMEN_DIAMETER = 3.18  # mm
 DEFAULT_BEND_RADIUS = 2.0      # mm
@@ -111,31 +143,7 @@ class ExperimentConfig:
             raise DomainError("lumen_diameter must be > 0")
 
     def to_json(self) -> str:
-        obj = {
-            "mode": self.mode,
-            "measurand_grid": list(self.measurand_grid),
-            "repeats": self.repeats,
-            "noise_sigma_db": self.noise_sigma_db,
-            "seed": self.seed,
-            "f_start": self.f_start,
-            "f_stop": self.f_stop,
-            "n_points": self.n_points,
-            "device": device_to_dict(self.device),
-            "calibration": (None if self.calibration is None
-                            else json.loads(self.calibration.to_json())),
-            "target_f0": self.target_f0,
-            "target_depth_db": self.target_depth_db,
-            "min_depth_db": self.min_depth_db,
-            "lumen_diameter": self.lumen_diameter,
-            "compliance": self.compliance,
-            "strain_scale": self.strain_scale,
-            "displacement_scale": self.displacement_scale,
-            "expansion_positive": self.expansion_positive,
-            "bend_radius": self.bend_radius,
-            "aging_temperature": self.aging_temperature,
-            "equivalent_storage": self.equivalent_storage,
-        }
-        return json.dumps(obj, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -149,7 +157,7 @@ def default_config(mode: str, **overrides) -> ExperimentConfig:
     """Config with the standard grid for a mode."""
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}")
-    kwargs = {"mode": mode, "measurand_grid": DEFAULT_GRIDS[mode]}
+    kwargs = {"mode": mode, "measurand_grid": MODE_SPECS[mode].grid}
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
@@ -160,49 +168,12 @@ def derive_seed(seed: int, grid_index: int, repeat_index: int) -> np.random.Seed
     return np.random.SeedSequence((seed, grid_index, repeat_index))
 
 
-def _strain_per_unit(mode: str, coupling: float, config: ExperimentConfig) -> float:
-    """Effective-strain increment per unit of measurand (linear kinematics)."""
-    if mode == "epicardial_strain":
-        return coupling / 100.0
-    if mode == "graft_pressure":
-        return coupling
-    if mode == "stent_displacement":
-        return coupling / (config.lumen_diameter * 1000.0)
-    if mode == "joint_bend":
-        return coupling * 1000.0 * math.pi / 180.0 / config.device.rest_length
-    raise DomainError(f"mode {mode!r} has no kinematic coupling")
-
-
-def _state_for(config: ExperimentConfig, coupling: float, x: float):
-    """DeformationState (and possibly modified device) for one grid value."""
-    mode = config.mode
-    if mode == "epicardial_strain":
-        return config.device, UniaxialStrain(coupling * x / 100.0)
-    if mode == "graft_pressure":
-        return config.device, RolledPressure(config.lumen_diameter, x, coupling)
-    if mode == "stent_displacement":
-        return config.device, RolledDisplacement(
-            config.lumen_diameter, coupling * x, config.expansion_positive)
-    if mode == "joint_bend":
-        return config.device, JointBend(x, coupling)
-    if mode == "media_stability":
-        device = replace(config.device,
-                         stack=replace(config.device.stack,
-                                       medium_rel_permittivity=x))
-        return device, Rest()
-    if mode == "aging":
-        return config.device, Rest()
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _noiseless_slope(mode: str, coupling: float, config: ExperimentConfig,
+def _noiseless_slope(coupling: float, config: ExperimentConfig,
                      cal: ModelCalibration, grid: Sequence[float]) -> float:
-    xs, ys = [], []
-    for x in grid:
-        device, state = _state_for(config, coupling, x)
-        xs.append(x)
-        ys.append(lumped_from_geometry(device, state, cal).f0)
-    slope, _ = _line_fit(xs, ys)
+    state_at = MODE_SPECS[config.mode].state
+    ys = [lumped_from_geometry(*state_at(config, coupling, x), cal).f0
+          for x in grid]
+    slope, _ = line_fit(grid, ys)
     return slope
 
 
@@ -297,8 +268,8 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
     process fits each argument set once (see maicas._memo); failures are
     not kept.
     """
-    if mode not in ("epicardial_strain", "graft_pressure",
-                    "stent_displacement", "joint_bend"):
+    spec = MODE_SPECS.get(mode)
+    if spec is None or spec.unit_strain is None:
         raise DomainError(f"mode {mode!r} has no kinematic coupling")
     if target_sensitivity <= 0:
         raise CalibrationFailed(
@@ -306,12 +277,12 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
     config = default_config(mode, device=device, calibration=cal)
     grid = config.measurand_grid
     x_extreme = max(abs(grid[0]), abs(grid[-1]))
-    unit_strain = _strain_per_unit(mode, 1.0, config)
-    p_max = (_STRAIN_LIMIT * (1.0 - 1e-9)) / (unit_strain * x_extreme)
+    p_max = ((_STRAIN_LIMIT * (1.0 - 1e-9))
+             / (spec.unit_strain(config) * x_extreme))
     p_min = 1e-9 * p_max
 
     def residual(p: float) -> float:
-        return _noiseless_slope(mode, p, config, cal, grid) - target_sensitivity
+        return _noiseless_slope(p, config, cal, grid) - target_sensitivity
 
     r_hi = residual(p_max)
     if r_hi < 0:
@@ -323,7 +294,7 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
         raise CalibrationFailed(
             "target sensitivity below the model floor", residual=residual(p_min))
     p_star = _brentq(residual, p_min, p_max, xtol=1e-14 * p_max, rtol=8.9e-16)
-    achieved = _noiseless_slope(mode, p_star, config, cal, grid)
+    achieved = _noiseless_slope(p_star, config, cal, grid)
     if abs(achieved - target_sensitivity) > 0.02 * abs(target_sensitivity):
         raise CalibrationFailed(
             f"coupling fit residual {achieved - target_sensitivity:.3g} Hz",
@@ -332,27 +303,20 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
 
 
 def resolve_coupling(config: ExperimentConfig, cal: ModelCalibration) -> float:
-    """Effective kinematic parameter for a config: explicit value if given,
-    otherwise the documented default resolution for the mode."""
-    mode = config.mode
-    if mode == "epicardial_strain":
-        if config.strain_scale is not None:
-            return config.strain_scale
-        natural = _noiseless_slope(mode, 1.0, config, cal, config.measurand_grid)
-        if abs(natural - DEFAULT_STRAIN_SENSITIVITY) <= STRAIN_SENSITIVITY_BAND:
-            return 1.0
-        return fit_scenario_coupling(mode, DEFAULT_STRAIN_SENSITIVITY,
-                                     config.device, cal)
-    if mode == "graft_pressure":
-        if config.compliance is not None:
-            return config.compliance
-        return fit_scenario_coupling(mode, DEFAULT_PRESSURE_SENSITIVITY,
-                                     config.device, cal)
-    if mode == "stent_displacement":
-        return config.displacement_scale
-    if mode == "joint_bend":
-        return config.bend_radius
-    return 0.0  # media_stability and aging carry no coupling
+    """Effective kinematic parameter for a config: the explicit value if
+    given, else coupling 1 when the natural model lies within the mode's
+    band of its target sensitivity, else a fit to that target. Modes without
+    a coupling resolve to 0."""
+    spec = MODE_SPECS[config.mode]
+    if spec.coupling_field is None:
+        return 0.0
+    explicit = getattr(config, spec.coupling_field)
+    if explicit is not None:
+        return explicit
+    if spec.band is not None and abs(_noiseless_slope(
+            1.0, config, cal, config.measurand_grid) - spec.target) <= spec.band:
+        return 1.0
+    return fit_scenario_coupling(config.mode, spec.target, config.device, cal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,11 +376,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     reader = fit_reader(rest, config.target_depth_db)
     coupling = resolve_coupling(config, cal)
 
+    spec = MODE_SPECS[config.mode]
     points = []
     failures = 0
     for gi, x in enumerate(config.measurand_grid):
-        device, state = _state_for(config, coupling, x)
-        circuit = lumped_from_geometry(device, state, cal)
+        circuit = lumped_from_geometry(*spec.state(config, coupling, x), cal)
         clean = s11_spectrum(circuit, reader, config.f_start, config.f_stop,
                              config.n_points)
         sweeps = []
@@ -455,7 +419,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ))
 
     fit_points = [(p.measurand, p.mean_f0) for p in points if p.n_ok > 0]
-    summary = fit_linear(fit_points, MODE_UNITS[config.mode])
+    summary = fit_linear(fit_points, spec.unit)
     return ExperimentResult(
         config=config,
         calibration=cal,
@@ -472,7 +436,5 @@ def media_shift(device: DeviceGeometry, cal: ModelCalibration,
     """Rest-state resonance with the surrounding medium swapped. Monotone
     decreasing in the permittivity; the calibration medium is a fixed
     point."""
-    swapped = replace(device,
-                      stack=replace(device.stack,
-                                    medium_rel_permittivity=medium_rel_permittivity))
-    return lumped_from_geometry(swapped, Rest(), cal).f0
+    return lumped_from_geometry(_in_medium(device, medium_rel_permittivity),
+                                Rest(), cal).f0

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .jsonio import read_text
+from .jsonio import float_columns, read_text
 from .readout import S11Sweep
 
 TOUCHSTONE_OPTION_LINE = "# HZ S DB R 50"
@@ -44,28 +44,17 @@ def write_touchstone(sweep: S11Sweep, path) -> None:
 
 
 def read_touchstone(path) -> S11Sweep:
-    freqs, mags = [], []
-    saw_options = False
-    for raw_line in read_text(path).splitlines():
-        line = raw_line.split("!", 1)[0].strip()
-        if not line:
-            continue
+    rows, saw_options = [], False
+    for line in read_text(path).splitlines():
+        line = line.split("!", 1)[0].strip()
         if line.startswith("#"):
-            tokens = line[1:].upper().split()
-            if tokens != ["HZ", "S", "DB", "R", "50"]:
+            if line[1:].upper().split() != ["HZ", "S", "DB", "R", "50"]:
                 raise DomainError(
                     f"{path}: unsupported Touchstone options {line!r}")
             saw_options = True
-            continue
-        fields = line.split()
-        if len(fields) not in (2, 3):
-            raise DomainError(f"{path}: malformed data row {raw_line!r}")
-        try:
-            freqs.append(float(fields[0]))
-            mags.append(float(fields[1]))
-        except ValueError:
-            raise DomainError(
-                f"{path}: non-numeric data row {raw_line!r}") from None
+        else:
+            rows.append(line)
+    freqs, mags = float_columns(rows, str(path), widths=(2, 3))
     if not saw_options:
         raise DomainError(f"{path}: missing Touchstone option line")
     return _sweep_from_columns(np.asarray(freqs), np.asarray(mags), str(path))
@@ -79,21 +68,8 @@ def write_csv(sweep: S11Sweep, path) -> None:
 
 
 def read_csv(path) -> S11Sweep:
-    lines = read_text(path).splitlines()
-    rows = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0].replace(" ", "") != CSV_HEADER:
-        raise DomainError(f"{path}: expected header '{CSV_HEADER}'")
-    freqs, mags = [], []
-    for row in rows[1:]:
-        fields = row.split(",")
-        if len(fields) != 2:
-            raise DomainError(f"{path}: malformed data row {row!r}")
-        try:
-            freqs.append(float(fields[0]))
-            mags.append(float(fields[1]))
-        except ValueError:
-            raise DomainError(
-                f"{path}: non-numeric data row {row!r}") from None
+    freqs, mags = float_columns(read_text(path).splitlines(), str(path),
+                                header=CSV_HEADER, sep=",")
     return _sweep_from_columns(np.asarray(freqs), np.asarray(mags), str(path))
 
 

@@ -212,10 +212,9 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
 def serve(frames: list[bytes], host: str = "127.0.0.1",
           port: int | None = None, frame_interval_s: float = 0.0) -> None:
     """Blocking variant of start_server."""
-    if port is None:
-        port = default_port()
-    with _FrameServer((host, port), list(frames), frame_interval_s) as server:
-        server.serve_forever()
+    server, thread = start_server(frames, host, port, frame_interval_s)
+    with server:
+        thread.join()
 
 
 @dataclass(frozen=True)
@@ -428,7 +427,8 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
         port = default_port()
     cal_id = calibration_id_of(model)
     writer = _LogWriter(log_path)
-    frames_seen = ok = extrapolated = errors = reconnects = 0
+    counts = {"ok": 0, "extrapolated": 0, "no_resonance": 0}
+    frames_seen = reconnects = 0
     backoff = backoff_initial_s
     attempts = 0
     try:
@@ -468,12 +468,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
                     frames_seen += 1
                     record = record_from_frame(raw, model, cal_id=cal_id)
                     writer.append(record)
-                    if record.quality == "ok":
-                        ok += 1
-                    elif record.quality == "extrapolated":
-                        extrapolated += 1
-                    else:
-                        errors += 1
+                    counts[record.quality] += 1
             if stop is not None and stop.is_set():
                 break
             if max_frames is not None and frames_seen >= max_frames:
@@ -484,4 +479,5 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
             backoff = min(backoff * backoff_factor, backoff_cap_s)
     finally:
         writer.close()
-    return GatewayStats(frames_seen, ok, extrapolated, errors, reconnects)
+    return GatewayStats(frames_seen, counts["ok"], counts["extrapolated"],
+                        counts["no_resonance"], reconnects)

@@ -145,6 +145,12 @@ class TestInvert:
         with pytest.raises(DegenerateModel):
             invert(model, 1.7e9)
 
+    @pytest.mark.parametrize("f0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_f0_rejected(self, f0):
+        model = fit_linear([(0.0, 1.70e9), (10.0, 1.73e9)], "mmHg")
+        with pytest.raises(DomainError):
+            invert(model, f0)
+
 
 class TestCycleSeries:
     def make(self, jitter_hz=0.0, cycles=5, seed=2):

@@ -455,6 +455,17 @@ class TestFit:
         assert payload["measurand_unit"] == "mmHg"
         assert payload["extrapolated"] is False
 
+    @pytest.mark.parametrize("f0", ["nan", "inf"])
+    def test_non_finite_f0_is_one_error_line(self, capsys, tmp_path, f0):
+        """argparse's float takes nan and inf; invert turns them away
+        instead of printing a NaN that is not JSON."""
+        model_path = tmp_path / "pressure_model.json"
+        code, _, _ = run_cli(capsys, "fit", "--points", "pressure.csv",
+                             "--out", str(model_path))
+        assert code == 0
+        assert_one_error_line(capsys, "invert", "--model", str(model_path),
+                              "--f0", f0)
+
 
 class TestExtract:
     def test_plain_and_with_model(self, capsys, tmp_path, rest_circuit,

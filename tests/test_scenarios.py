@@ -1,13 +1,16 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from maicas.circuit import ModelCalibration
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError)
-from maicas.scenarios import (DEFAULT_GRIDS, ExperimentConfig, _brentq,
+from maicas.geometry import DeviceGeometry
+from maicas.scenarios import (MODE_SPECS, ExperimentConfig, _brentq,
                               default_config, derive_seed,
                               fit_scenario_coupling, media_shift,
                               run_experiment)
@@ -15,6 +18,17 @@ from maicas.sweepio import read_touchstone
 
 
 DROP = object()  # marks a JSON key to delete
+
+SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
+SNAPSHOT_CONFIGS = {
+    "default": lambda: default_config("epicardial_strain"),
+    "calibrated": lambda: default_config(
+        "graft_pressure", seed=3, compliance=1.7e-4, strain_scale=0.1 + 0.2,
+        device=DeviceGeometry(rest_length=12_500.0),
+        calibration=ModelCalibration(
+            eff_permittivity_scale=1.234567890123, parasitic_C_offset=4.5e-13,
+            ide_finger_count=9, ide_finger_length=3987.5, loss_R=6.25)),
+}
 
 
 def quiet_config(mode, device, cal, **overrides):
@@ -27,9 +41,9 @@ def quiet_config(mode, device, cal, **overrides):
 
 class TestConfigValidation:
     def test_default_grids_cover_all_modes(self):
-        for mode, grid in DEFAULT_GRIDS.items():
+        for mode, spec in MODE_SPECS.items():
             cfg = default_config(mode)
-            assert cfg.measurand_grid == grid
+            assert cfg.measurand_grid == spec.grid
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "waterfall", "measurand_grid": (0.0, 1.0)},
@@ -59,6 +73,12 @@ class TestConfigValidation:
     def test_json_round_trip_without_calibration(self):
         cfg = default_config("joint_bend", bend_radius=1.5)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+    def test_config_json_bytes_are_the_snapshot(self, name):
+        """config.json as simulate writes it, pinned byte for byte."""
+        text = SNAPSHOT_CONFIGS[name]().to_json() + "\n"
+        assert text == (SNAPSHOT_DIR / f"config_{name}.json").read_text()
 
     @pytest.mark.parametrize("path,value", [
         (("calibration", "loss_R"), DROP),

@@ -78,6 +78,18 @@ class TestCsv:
         write_csv(noisy_sweep, path)
         assert path.read_text().splitlines()[0] == CSV_HEADER
 
+    @pytest.mark.parametrize("comment", ["# note", "   # indented note"])
+    def test_comment_lines_skipped(self, noisy_sweep, tmp_path, comment):
+        """A line that starts with '#' once stripped is a comment, wherever
+        it stands, as in points files."""
+        path = tmp_path / "sweep.csv"
+        write_csv(noisy_sweep, path)
+        lines = path.read_text().splitlines()
+        lines[3:3] = [comment]
+        path.write_text("\n".join([comment, *lines, comment]) + "\n")
+        again = read_csv(path)
+        assert np.array_equal(again.magnitude_db, noisy_sweep.magnitude_db)
+
     @pytest.mark.parametrize("body", [
         "frequency_hz\n1.0e9\n2.0e9\n",
         "frequency_hz,magnitude_db\n1.0e9,-1.0\n",
