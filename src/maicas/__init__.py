@@ -29,7 +29,7 @@ from .scenarios import (ExperimentConfig, ExperimentResult, PointResult,
                         default_config, fit_scenario_coupling, media_shift,
                         run_experiment)
 from .telemetry import (MeasurandRecord, TelemetryFrame, decode_frame,
-                        encode_frame, gateway, read_log, serve, start_server)
+                        encode_frame, gateway, read_log, start_server)
 
 __version__ = "0.1.0"
 

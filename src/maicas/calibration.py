@@ -109,12 +109,16 @@ class InversionResult:
 def invert(model: CalibrationModel, f0_hz: float) -> InversionResult:
     """Measurand value whose model line passes through f0_hz. Flagged as
     extrapolated when f0_hz falls outside the fitted frequency range. A
-    non-finite f0_hz raises DomainError."""
+    non-finite f0_hz raises DomainError; a model that maps it to no finite
+    value (zero slope, or an overflowing quotient) raises DegenerateModel."""
     if not math.isfinite(f0_hz):
         raise DomainError(f"f0_hz must be finite, got {f0_hz}")
     if model.slope == 0.0:
         raise DegenerateModel("zero slope; inversion undefined")
     value = (f0_hz - model.intercept) / model.slope
+    if not math.isfinite(value):
+        raise DegenerateModel(
+            f"inverting f0_hz {f0_hz!r} overflows (slope {model.slope!r})")
     extrapolated = not (model.y_min <= f0_hz <= model.y_max)
     return InversionResult(value=value, extrapolated=extrapolated)
 

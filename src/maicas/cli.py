@@ -159,17 +159,20 @@ def _frames_for_args(args) -> list[bytes]:
 
 def _cmd_serve(args) -> int:
     frames = _frames_for_args(args)
-    port = args.port if args.port is not None else telemetry.default_port()
-    print(f"serving {len(frames)} frames on {args.host}:{port}", flush=True)
-    telemetry.serve(frames, args.host, port, args.interval_ms / 1000.0)
+    server, thread = telemetry.start_server(frames, args.host, args.port,
+                                            args.interval_ms / 1000.0)
+    port = server.server_address[1]  # the bound one, also for --port 0
+    with server:
+        print(f"serving {len(frames)} frames on {args.host}:{port}",
+              flush=True)
+        thread.join()
     return 0
 
 
 def _cmd_gateway(args) -> int:
     model = CalibrationModel.from_json(read_text(args.model))
-    port = args.port if args.port is not None else telemetry.default_port()
     stats = telemetry.gateway(
-        args.host, port, model, args.log,
+        args.host, args.port, model, args.log,
         max_frames=args.max_frames,
         reconnect=not args.no_reconnect,
         max_connect_attempts=args.max_connect_attempts,

@@ -11,7 +11,7 @@ All types are immutable values; deformation never mutates the rest geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, OutOfModelRange
 from .jsonio import from_dict
@@ -255,12 +255,7 @@ def apply_strain(device: DeviceGeometry, eps: float) -> DeviceGeometry:
     return replace(device, ide=ide, loop=loop)
 
 
-def device_to_dict(device: DeviceGeometry) -> dict:
-    """Plain nested dict for JSON round trips."""
-    return asdict(device)
-
-
 def device_from_dict(obj: dict) -> DeviceGeometry:
-    """Inverse of device_to_dict; missing keys and sections fall back to
+    """Inverse of dataclasses.asdict; missing keys and sections fall back to
     defaults. Unknown keys and non-numeric values raise DomainError."""
     return from_dict(DeviceGeometry, obj, "device", partial=True)

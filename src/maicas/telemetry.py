@@ -13,8 +13,11 @@ reserved for internally consistent but foreign or malformed buffers.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -32,9 +35,9 @@ import numpy as np
 
 from .calibration import CalibrationModel, invert
 from .dsp import extract_resonance
-from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
-                     GridTooCoarse, InvalidGrid, MalformedLength, NoResonance,
-                     UnsupportedVersion)
+from .errors import (BadMagic, ChecksumMismatch, DegenerateModel, DomainError,
+                     FrameError, GridTooCoarse, InvalidGrid, MalformedLength,
+                     NoResonance, UnsupportedVersion)
 from .jsonio import read_text
 from .readout import S11Sweep
 
@@ -47,6 +50,14 @@ _N_POINTS_OFFSET = HEADER_SIZE - 4
 
 DEFAULT_PORT = 47917
 PORT_ENV_VAR = "MAICAS_PORT"
+
+# gateway backoff between connections; a successful connect resets it
+BACKOFF_INITIAL_S = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 30.0
+CONNECT_TIMEOUT_S = 5.0  # also the timeout of each socket read
+
+FRAME_INTERVAL_US = 1000  # timestamp step of synthesized frames, from 0
 
 # refuse to buffer absurd frames when framing off a live stream
 MAX_STREAM_POINTS = 1 << 24
@@ -157,21 +168,16 @@ def read_frame(stream) -> bytes | None:
     return header + rest
 
 
-def frames_from_sweeps(sweeps, device_id: int = 1,
-                       start_timestamp_us: int = 0,
-                       interval_us: int = 1000) -> list[bytes]:
-    return [encode_frame(device_id, start_timestamp_us + i * interval_us, sw)
+def frames_from_sweeps(sweeps, device_id: int = 1) -> list[bytes]:
+    return [encode_frame(device_id, i * FRAME_INTERVAL_US, sw)
             for i, sw in enumerate(sweeps)]
 
 
-def frames_from_result(result, device_id: int = 1,
-                       start_timestamp_us: int = 0,
-                       interval_us: int = 1000) -> list[bytes]:
+def frames_from_result(result, device_id: int = 1) -> list[bytes]:
     """Flatten an ExperimentResult's noisy sweeps in grid-then-repeat
     order."""
     sweeps = [sweep for point in result.points for sweep in point.sweeps]
-    return frames_from_sweeps(sweeps, device_id, start_timestamp_us,
-                              interval_us)
+    return frames_from_sweeps(sweeps, device_id)
 
 
 class _FrameServer(socketserver.ThreadingTCPServer):
@@ -207,14 +213,6 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
-
-
-def serve(frames: list[bytes], host: str = "127.0.0.1",
-          port: int | None = None, frame_interval_s: float = 0.0) -> None:
-    """Blocking variant of start_server."""
-    server, thread = start_server(frames, host, port, frame_interval_s)
-    with server:
-        thread.join()
 
 
 @dataclass(frozen=True)
@@ -262,34 +260,30 @@ def _json_number(value) -> str:
 
 
 def record_from_frame(raw: bytes, model: CalibrationModel, *,
-                      cal_id: str | None = None) -> MeasurandRecord:
-    """Decode, extract and invert one frame into a log record. Decode and
-    extraction failures become no_resonance records instead of raising.
+                      cal_id: str) -> MeasurandRecord:
+    """Decode, extract and invert one frame into a log record. Decode,
+    extraction and inversion failures become no_resonance records instead
+    of raising; a frame that does not decode keeps device_id and
+    timestamp_us at 0.
 
-    cal_id, when given, must be calibration_id_of(model); callers that log
-    many frames against one model pass it to hash the model only once.
+    cal_id must be calibration_id_of(model), hashed once by the caller for
+    all the frames it logs against the model.
     """
-    if cal_id is None:
-        cal_id = calibration_id_of(model)
+    device_id = timestamp_us = 0
     try:
         frame = decode_frame(raw)
-    except FrameError as exc:
+        device_id, timestamp_us = frame.device_id, frame.timestamp_us
+        estimate = extract_resonance(frame.sweep)
+        inversion = invert(model, estimate.f0_hat)
+    except (FrameError, NoResonance, GridTooCoarse, DomainError,
+            DegenerateModel) as exc:
         return MeasurandRecord(
-            device_id=0, timestamp_us=0, f0_hat_hz=None,
+            device_id=device_id, timestamp_us=timestamp_us, f0_hat_hz=None,
             measurand_value=None, measurand_unit=model.measurand_unit,
             calibration_id=cal_id, quality="no_resonance",
             error=_snake_case(type(exc).__name__))
-    try:
-        estimate = extract_resonance(frame.sweep)
-    except (NoResonance, GridTooCoarse, DomainError) as exc:
-        return MeasurandRecord(
-            device_id=frame.device_id, timestamp_us=frame.timestamp_us,
-            f0_hat_hz=None, measurand_value=None,
-            measurand_unit=model.measurand_unit, calibration_id=cal_id,
-            quality="no_resonance", error=_snake_case(type(exc).__name__))
-    inversion = invert(model, estimate.f0_hat)
     return MeasurandRecord(
-        device_id=frame.device_id, timestamp_us=frame.timestamp_us,
+        device_id=device_id, timestamp_us=timestamp_us,
         f0_hat_hz=estimate.f0_hat, measurand_value=inversion.value,
         measurand_unit=model.measurand_unit, calibration_id=cal_id,
         quality="extrapolated" if inversion.extrapolated else "ok")
@@ -383,8 +377,9 @@ def read_log(path) -> list[dict]:
 
 
 def process_frames(frames, model: CalibrationModel, log_path) -> dict[str, int]:
-    """Offline equivalent of the gateway: append one record per frame from
-    an in-memory list. Returns quality counts."""
+    """Append one record per raw frame, in order, to the NDJSON log.
+    Returns quality counts. frames is any iterable: a list for replay, a
+    live server's stream for the gateway."""
     cal_id = calibration_id_of(model)
     writer = _LogWriter(log_path)
     counts = {"ok": 0, "extrapolated": 0, "no_resonance": 0}
@@ -400,84 +395,74 @@ def process_frames(frames, model: CalibrationModel, log_path) -> dict[str, int]:
 
 def split_dump(data: bytes) -> list[bytes]:
     """Split a concatenated frame dump back into frames."""
-    frames = []
-    stream = io.BytesIO(data)
-    while True:
-        raw = read_frame(stream)
-        if raw is None:
-            break
-        frames.append(raw)
-    return frames
+    return list(iter(functools.partial(read_frame, io.BytesIO(data)), None))
+
+
+def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
+                   max_connect_attempts: int | None, stop, sleep):
+    """Raw frames from a server in arrival order, across connections: the
+    connect, backoff, reconnect and stop policy that gateway documents.
+    tally["reconnects"] counts the connects after the first attempt."""
+    stopped = stop.is_set if stop is not None else lambda: False
+    backoff = BACKOFF_INITIAL_S
+    attempts = 0
+    while not stopped():
+        attempts += 1
+        try:
+            sock = socket.create_connection(address,
+                                            timeout=CONNECT_TIMEOUT_S)
+        except OSError:
+            if not reconnect or (max_connect_attempts is not None
+                                 and attempts >= max_connect_attempts):
+                return
+        else:
+            if attempts > 1:
+                tally["reconnects"] += 1
+            backoff = BACKOFF_INITIAL_S
+            with sock, sock.makefile("rb") as stream:
+                if stopped():
+                    return
+                try:
+                    for raw in iter(functools.partial(read_frame, stream),
+                                    None):
+                        yield raw
+                        if stopped():
+                            return
+                except (FrameError, OSError):
+                    pass  # framing lost; reconnect for a fresh stream
+                else:
+                    if not reconnect:
+                        return  # clean end of stream
+        if stopped():
+            return
+        sleep(backoff)
+        backoff = min(backoff * BACKOFF_FACTOR, BACKOFF_CAP_S)
 
 
 def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
             *, max_frames: int | None = None, reconnect: bool = True,
-            backoff_initial_s: float = 0.5, backoff_factor: float = 2.0,
-            backoff_cap_s: float = 30.0, max_connect_attempts: int | None = None,
-            connect_timeout_s: float = 5.0, stop: threading.Event | None = None,
+            max_connect_attempts: int | None = None,
+            stop: threading.Event | None = None,
             _sleep=time.sleep) -> GatewayStats:
-    """Consume frames from a server and append one record per frame.
+    """Log the frames a server streams: process_frames over the first
+    max_frames of them (all when None), read across reconnections.
 
-    Each received frame is logged exactly once, in arrival order. Connection
-    loss triggers exponential-backoff reconnection (0.5 s doubling, capped
-    at 30 s) until max_frames records are written or stop is set; with
-    reconnect=False a clean end of stream finishes the run.
-    """
+    A session that ends in lost framing or a socket error is followed by a
+    backoff sleep (0.5 s doubling to 30 s, reset by each connect) and a new
+    connection; so is a clean end of stream unless reconnect is False. A
+    refused connect is retried the same way unless reconnect is False or
+    max_connect_attempts are spent. stop, once set, ends the run before the
+    next connect, read or sleep."""
     if port is None:
         port = default_port()
-    cal_id = calibration_id_of(model)
-    writer = _LogWriter(log_path)
-    counts = {"ok": 0, "extrapolated": 0, "no_resonance": 0}
-    frames_seen = reconnects = 0
-    backoff = backoff_initial_s
-    attempts = 0
-    try:
-        while True:
-            if stop is not None and stop.is_set():
-                break
-            if max_frames is not None and frames_seen >= max_frames:
-                break
-            try:
-                attempts += 1
-                sock = socket.create_connection((host, port),
-                                                timeout=connect_timeout_s)
-            except OSError:
-                if max_connect_attempts is not None and attempts >= max_connect_attempts:
-                    break
-                if not reconnect:
-                    break
-                _sleep(backoff)
-                backoff = min(backoff * backoff_factor, backoff_cap_s)
-                continue
-            if attempts > 1:
-                reconnects += 1
-            backoff = backoff_initial_s
-            clean_eof = False
-            with sock:
-                stream = sock.makefile("rb")
-                while max_frames is None or frames_seen < max_frames:
-                    if stop is not None and stop.is_set():
-                        break
-                    try:
-                        raw = read_frame(stream)
-                    except (FrameError, OSError):
-                        break  # framing lost; reconnect for a fresh stream
-                    if raw is None:
-                        clean_eof = True
-                        break
-                    frames_seen += 1
-                    record = record_from_frame(raw, model, cal_id=cal_id)
-                    writer.append(record)
-                    counts[record.quality] += 1
-            if stop is not None and stop.is_set():
-                break
-            if max_frames is not None and frames_seen >= max_frames:
-                break
-            if clean_eof and not reconnect:
-                break
-            _sleep(backoff)
-            backoff = min(backoff * backoff_factor, backoff_cap_s)
-    finally:
-        writer.close()
-    return GatewayStats(frames_seen, counts["ok"], counts["extrapolated"],
-                        counts["no_resonance"], reconnects)
+    tally = {"reconnects": 0}
+    limit = None if max_frames is None else max(max_frames, 0)  # < 0 as 0
+    with contextlib.closing(_server_frames(
+            (host, port), tally, reconnect=reconnect,
+            max_connect_attempts=max_connect_attempts, stop=stop,
+            sleep=_sleep)) as frames:
+        counts = process_frames(itertools.islice(frames, limit), model,
+                                log_path)
+    return GatewayStats(sum(counts.values()), counts["ok"],
+                        counts["extrapolated"], counts["no_resonance"],
+                        tally["reconnects"])

@@ -145,6 +145,16 @@ class TestInvert:
         with pytest.raises(DegenerateModel):
             invert(model, 1.7e9)
 
+    @pytest.mark.parametrize("intercept, slope, f0", [
+        (1.7e9, 1e-310, 1.75e9),          # finite slope, quotient overflows
+        (-1.5e308, 1.0, 1.5e308),         # f0 - intercept overflows
+    ])
+    def test_overflowing_inversion_rejected(self, intercept, slope, f0):
+        model = CalibrationModel(intercept, slope, 1.0, 1e5, "mmHg", 5,
+                                 1.69e9, 1.71e9)
+        with pytest.raises(DegenerateModel):
+            invert(model, f0)
+
     @pytest.mark.parametrize("f0", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_f0_rejected(self, f0):
         model = fit_linear([(0.0, 1.70e9), (10.0, 1.73e9)], "mmHg")

@@ -100,12 +100,12 @@ def broken_json(obj: dict, defect: str, numeric_key: str) -> str:
     return json.dumps(obj)
 
 
-def assert_one_error_line(capsys, *argv):
+def assert_one_error_line(capsys, *argv, error="DomainError"):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "DomainError"
+    assert json.loads(err)["error"] == error
 
 
 class TestStrictJson:
@@ -466,6 +466,18 @@ class TestFit:
         assert_one_error_line(capsys, "invert", "--model", str(model_path),
                               "--f0", f0)
 
+    def test_overflowing_inversion_is_one_error_line(self, capsys, tmp_path):
+        """A finite slope the strict loader accepts can still overflow the
+        quotient; that is an error, not "Infinity"."""
+        model_path = tmp_path / "pressure_model.json"
+        run_cli(capsys, "fit", "--points", "pressure.csv",
+                "--out", str(model_path))
+        model = json.loads(model_path.read_text())
+        model["slope"] = 1e-310
+        model_path.write_text(json.dumps(model))
+        assert_one_error_line(capsys, "invert", "--model", str(model_path),
+                              "--f0", "1.75e9", error="DegenerateModel")
+
 
 class TestExtract:
     def test_plain_and_with_model(self, capsys, tmp_path, rest_circuit,
@@ -621,6 +633,27 @@ class TestReplayAndGateway:
             assert record["measurand_value"] == pytest.approx(
                 grid[i // 2], abs=tolerance)
 
+    @pytest.mark.parametrize("slope", [1e-310, 0.0])
+    def test_replay_with_a_degenerate_model(self, capsys, tmp_path, campaign,
+                                            slope):
+        cfg_path, model_path = campaign
+        dump = tmp_path / "frames.bin"
+        run_cli(capsys, "replay", "--config", str(cfg_path),
+                "--out", str(dump))
+        model = json.loads(model_path.read_text())
+        model["slope"] = slope
+        bad_model = tmp_path / "bad_model.json"
+        bad_model.write_text(json.dumps(model))
+        log = tmp_path / "log.ndjson"
+        code, out, _ = run_cli(capsys, "replay", "--frames", str(dump),
+                               "--model", str(bad_model), "--log", str(log))
+        assert code == 0
+        assert json.loads(out) == {"ok": 0, "extrapolated": 0,
+                                   "no_resonance": 8}
+        records = read_log(log)
+        assert [r["error"] for r in records] == ["degenerate_model"] * 8
+        assert all(r["measurand_value"] is None for r in records)
+
     def test_replay_argument_pairing(self, capsys, tmp_path, campaign):
         cfg_path, model_path = campaign
         cases = [
@@ -693,18 +726,24 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 2
 
 
+def module_env() -> dict:
+    """The environment for python -m maicas.cli from the checkout."""
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("LINES", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleRun:
     """python -m maicas.cli runs the same CLI as the console script."""
 
     @staticmethod
     def run_module(*argv):
-        env = dict(os.environ, COLUMNS="80")
-        env.pop("LINES", None)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parents[1] / "src"),
-            env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "maicas.cli", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=module_env())
 
     def test_help_is_the_snapshot(self):
         proc = self.run_module("--help")
@@ -719,3 +758,39 @@ class TestModuleRun:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"] == "DomainError"
         assert not (tmp_path / "run").exists()
+
+
+class TestServe:
+    def test_gateway_logs_what_serve_streams(self, capsys, tmp_path):
+        """serve on --port 0 names the port it bound; a gateway reading it
+        writes the log replay writes for the same campaign."""
+        model = tmp_path / "model.json"
+        dump = tmp_path / "frames.bin"
+        assert main(["fit", "--points", "pressure.csv",
+                     "--out", str(model)]) == 0
+        assert main(["replay", "--mode", "graft_pressure", "--seed", "0",
+                     "--out", str(dump)]) == 0
+        assert main(["replay", "--frames", str(dump), "--model", str(model),
+                     "--log", str(tmp_path / "replay.ndjson")]) == 0
+        capsys.readouterr()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "maicas.cli", "serve", "--mode",
+             "graft_pressure", "--seed", "0", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=module_env())
+        try:
+            line = server.stdout.readline()
+            found = re.fullmatch(
+                r"serving 20 frames on 127\.0\.0\.1:([1-9]\d*)\n", line)
+            assert found, line
+            code, out, _ = run_cli(capsys, "gateway", "--model", str(model),
+                                   "--log", str(tmp_path / "live.ndjson"),
+                                   "--port", found.group(1),
+                                   "--max-frames", "20",
+                                   "--max-connect-attempts", "1")
+        finally:
+            server.terminate()
+            server.communicate(timeout=30)
+        assert code == 0
+        assert json.loads(out)["frames_seen"] == 20
+        assert ((tmp_path / "live.ndjson").read_bytes()
+                == (tmp_path / "replay.ndjson").read_bytes())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +8,7 @@ from maicas.errors import DomainError, OutOfModelRange
 from maicas.geometry import (DeviceGeometry, IdeGeometry, JointBend,
                              LoopGeometry, Rest, RolledDisplacement,
                              RolledPressure, SubstrateStack, UniaxialStrain,
-                             apply_strain, device_from_dict, device_to_dict,
-                             strain_of)
+                             apply_strain, device_from_dict, strain_of)
 
 
 class TestValidation:
@@ -151,7 +151,7 @@ class TestApplyStrain:
 
 
 def test_device_dict_round_trip(device):
-    assert device_from_dict(device_to_dict(device)) == device
+    assert device_from_dict(asdict(device)) == device
 
 
 def test_device_dict_partial():

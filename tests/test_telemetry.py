@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -73,11 +74,15 @@ def mixed_frames(sweep_pool):
     return frames
 
 
+def record_of(raw, model) -> MeasurandRecord:
+    return record_from_frame(raw, model, cal_id=calibration_id_of(model))
+
+
 def log_frame_by_frame(frames, model, path) -> bytes:
     """The log record_from_frame gives one frame at a time."""
     writer = _LogWriter(path)
     for raw in frames:
-        writer.append(record_from_frame(raw, model))
+        writer.append(record_of(raw, model))
     writer.close()
     return path.read_bytes()
 
@@ -250,7 +255,7 @@ class TestHostileFrames:
             assert frame.n_points == frame.magnitude_db.size >= 2
             assert 0 < frame.f_start < frame.f_stop < math.inf
         with np.errstate(all="ignore"):
-            assert isinstance(record_from_frame(raw, model), MeasurandRecord)
+            assert isinstance(record_of(raw, model), MeasurandRecord)
 
     @settings(max_examples=300, deadline=None)
     @given(raw=st.binary(max_size=200))
@@ -272,7 +277,7 @@ class TestHostileFrames:
             "measurand_value": None, "measurand_unit": "mmHg",
             "calibration_id": calibration_id_of(pressure_model),
             "quality": "no_resonance", "error": "domain_error"}
-        record = record_from_frame(raw, pressure_model)
+        record = record_of(raw, pressure_model)
         assert json.loads(oracles.reference_record_to_json(record)) == expected
         log = tmp_path / "log.ndjson"
         process_frames([raw], pressure_model, log)
@@ -328,7 +333,7 @@ class TestRecords:
 
     def test_ok_record(self, sweep_pool, pressure_model):
         frame = encode_frame(5, 99, sweep_pool[0])
-        record = record_from_frame(frame, pressure_model)
+        record = record_of(frame, pressure_model)
         assert record.quality == "ok"
         assert record.device_id == 5
         assert record.timestamp_us == 99
@@ -339,20 +344,39 @@ class TestRecords:
     def test_corrupt_frame_record(self, sweep_pool, pressure_model):
         frame = bytearray(encode_frame(5, 99, sweep_pool[0]))
         frame[50] ^= 0x10
-        record = record_from_frame(bytes(frame), pressure_model)
+        record = record_of(bytes(frame), pressure_model)
         assert record.quality == "no_resonance"
         assert record.error == "checksum_mismatch"
         assert record.f0_hat_hz is None
+        assert (record.device_id, record.timestamp_us) == (0, 0)
+
+    @pytest.mark.parametrize("slope", [1e-310, 0.0])
+    def test_degenerate_model_record(self, sweep_pool, pressure_model,
+                                     tmp_path, slope):
+        """A model that inverts to no finite value gives no_resonance
+        records naming the model, never an Infinity or a crash."""
+        model = replace(pressure_model, slope=slope)
+        frames = frames_from_sweeps(sweep_pool[:3], device_id=5)
+        record = record_of(frames[1], model)
+        assert record == MeasurandRecord(
+            device_id=5, timestamp_us=1000, f0_hat_hz=None,
+            measurand_value=None, measurand_unit="mmHg",
+            calibration_id=calibration_id_of(model), quality="no_resonance",
+            error="degenerate_model")
+        log = tmp_path / "log.ndjson"
+        counts = process_frames(frames, model, log)
+        assert counts == {"ok": 0, "extrapolated": 0, "no_resonance": 3}
+        assert [r["error"] for r in read_log(log)] == ["degenerate_model"] * 3
 
     def test_flat_sweep_record(self, pressure_model):
         flat = S11Sweep(1.5e9, 2.0e9, 64, np.full(64, -2.0))
-        record = record_from_frame(encode_frame(1, 1, flat), pressure_model)
+        record = record_of(encode_frame(1, 1, flat), pressure_model)
         assert record.quality == "no_resonance"
         assert record.error == "no_resonance"
 
     def test_extrapolated_record(self, sweep_pool):
         narrow = fit_linear([(0.0, 1.760e9), (10.0, 1.765e9)], "mmHg")
-        record = record_from_frame(encode_frame(1, 1, sweep_pool[0]), narrow)
+        record = record_of(encode_frame(1, 1, sweep_pool[0]), narrow)
         assert record.quality == "extrapolated"
         assert record.measurand_value is not None
 
@@ -435,7 +459,7 @@ class TestLog:
         writer = _LogWriter(log)
         try:
             for n, raw in enumerate(frames_from_sweeps(sweep_pool[:3]), 2):
-                writer.append(record_from_frame(raw, pressure_model))
+                writer.append(record_of(raw, pressure_model))
                 assert log.read_bytes().count(b"\n") == n
         finally:
             writer.close()
@@ -494,6 +518,18 @@ def free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+@contextlib.contextmanager
+def payload_server(payload: bytes):
+    """A loopback server that sends payload to each client and then closes
+    the connection. Yields its port."""
+    server, _ = start_server([payload], port=0)
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestGateway:
@@ -569,7 +605,7 @@ class TestGateway:
         sleeps = []
         stats = gateway("127.0.0.1", free_port(), pressure_model,
                         tmp_path / "none.ndjson", max_connect_attempts=6,
-                        connect_timeout_s=0.2, _sleep=sleeps.append)
+                        _sleep=sleeps.append)
         assert stats.frames_seen == 0
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0]
 
@@ -577,18 +613,102 @@ class TestGateway:
         sleeps = []
         gateway("127.0.0.1", free_port(), pressure_model,
                 tmp_path / "none.ndjson", max_connect_attempts=9,
-                connect_timeout_s=0.2, backoff_cap_s=3.0,
                 _sleep=sleeps.append)
-        assert sleeps == [0.5, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+        assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_no_reconnect_stops_after_first_failure(self, pressure_model,
                                                     tmp_path):
         sleeps = []
         stats = gateway("127.0.0.1", free_port(), pressure_model,
                         tmp_path / "none.ndjson", reconnect=False,
-                        connect_timeout_s=0.2, _sleep=sleeps.append)
+                        _sleep=sleeps.append)
         assert stats.frames_seen == 0
         assert sleeps == []
+
+    def test_reconnects_after_the_server_closes(self, sweep_pool,
+                                                 pressure_model, tmp_path):
+        frames = mixed_frames(sweep_pool)
+        n = len(frames)
+        sleeps = []
+        with payload_server(b"".join(frames)) as port:
+            stats = gateway("127.0.0.1", port, pressure_model,
+                            tmp_path / "live.ndjson", max_frames=2 * n + 3,
+                            _sleep=sleeps.append)
+        counts = process_frames((frames * 3)[:2 * n + 3], pressure_model,
+                                tmp_path / "offline.ndjson")
+        assert stats == GatewayStats(
+            frames_seen=2 * n + 3, records_ok=counts["ok"],
+            records_extrapolated=counts["extrapolated"],
+            records_error=counts["no_resonance"], reconnects=2)
+        assert sleeps == [0.5, 0.5]
+        assert ((tmp_path / "live.ndjson").read_bytes()
+                == (tmp_path / "offline.ndjson").read_bytes())
+
+    @pytest.mark.parametrize("reconnect", [True, False])
+    def test_torn_frame_ends_the_session(self, sweep_pool, pressure_model,
+                                         tmp_path, reconnect):
+        # a torn frame is lost framing, not a clean end of stream, so the
+        # gateway reconnects even with reconnect=False
+        frames = mixed_frames(sweep_pool)
+        payload = b"".join(frames[:3]) + frames[3][:HEADER_SIZE + 10]
+        sleeps = []
+        with payload_server(payload) as port:
+            stats = gateway("127.0.0.1", port, pressure_model,
+                            tmp_path / "live.ndjson", max_frames=9,
+                            reconnect=reconnect, _sleep=sleeps.append)
+        counts = process_frames(frames[:3] * 3, pressure_model,
+                                tmp_path / "offline.ndjson")
+        assert stats == GatewayStats(
+            frames_seen=9, records_ok=counts["ok"],
+            records_extrapolated=counts["extrapolated"],
+            records_error=counts["no_resonance"], reconnects=2)
+        assert sleeps == [0.5, 0.5]
+        assert ((tmp_path / "live.ndjson").read_bytes()
+                == (tmp_path / "offline.ndjson").read_bytes())
+
+    def test_no_reconnect_ends_at_a_clean_end_of_stream(
+            self, sweep_pool, pressure_model, tmp_path):
+        frames = mixed_frames(sweep_pool)
+        sleeps = []
+        with payload_server(b"".join(frames)) as port:
+            stats = gateway("127.0.0.1", port, pressure_model,
+                            tmp_path / "live.ndjson", reconnect=False,
+                            _sleep=sleeps.append)
+        assert stats.frames_seen == len(frames)
+        assert stats.reconnects == 0
+        assert sleeps == []
+
+    def test_stop_set_during_the_backoff_ends_the_run(
+            self, sweep_pool, pressure_model, tmp_path):
+        frames = mixed_frames(sweep_pool)
+        stop = threading.Event()
+        sleeps = []
+
+        def sleep_then_stop(seconds):
+            sleeps.append(seconds)
+            stop.set()
+
+        with payload_server(b"".join(frames)) as port:
+            stats = gateway("127.0.0.1", port, pressure_model,
+                            tmp_path / "live.ndjson", stop=stop,
+                            _sleep=sleep_then_stop)
+        assert stats.frames_seen == len(frames)
+        assert stats.reconnects == 0
+        assert sleeps == [0.5]
+
+    def test_zero_max_frames_never_connects(self, pressure_model, tmp_path):
+        log = tmp_path / "none.ndjson"
+        sleeps = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.setblocking(False)
+            stats = gateway("127.0.0.1", listener.getsockname()[1],
+                            pressure_model, log, max_frames=0,
+                            _sleep=sleeps.append)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+        assert stats == GatewayStats(0, 0, 0, 0, 0)
+        assert sleeps == []
+        assert log.read_text() == json.dumps({"schema": LOG_SCHEMA}) + "\n"
 
     def test_stop_event_precludes_connection(self, pressure_model, tmp_path):
         stop = threading.Event()
