@@ -107,8 +107,10 @@ def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
 def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
                    f: np.ndarray) -> np.ndarray:
     """Reflection magnitude 20*log10|(z - z0)/(z + z0)| in dB at the
-    frequencies f, floored at 1e-300 so a perfect match stays finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    frequencies f, floored at 1e-300 so a perfect match stays finite.
+    Frequencies whose arithmetic overflows or underflows give NaN, so a
+    campaign over such a grid ends in DegenerateInput, not a traceback."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = input_impedance(circuit, reader, f)
         z0 = reader.reference_impedance
         return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))

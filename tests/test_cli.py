@@ -229,6 +229,7 @@ class TestInputBoundaries:
         ("aging", ("target_depth_db",), -5e-324, "CalibrationFailed"),
         ("aging", ("measurand_grid",), [0.0, 1e200], "DegenerateInput"),
         ("epicardial_strain", ("f_stop",), 3.5e163, "DegenerateInput"),
+        ("epicardial_strain", ("f_start",), 5e-324, "DegenerateInput"),
         ("graft_pressure", ("calibration", "ide_finger_length"), 1e308,
          "DomainError"),
     ], ids=lambda v: ("/".join(v) if isinstance(v, tuple)
