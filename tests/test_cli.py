@@ -529,6 +529,11 @@ class TestCalibrateBaseline:
         assert float(rest_line.split(" = ")[1]) == pytest.approx(1.71e9,
                                                                  abs=1e3)
 
+    def test_stock_device_stdout_is_the_snapshot(self, capsys):
+        code, out, _ = run_cli(capsys, "calibrate-baseline")
+        assert code == 0
+        assert out == (SNAPSHOT_DIR / "calibrate_baseline_stock.txt").read_text()
+
 
 class TestSimulate:
     def test_writes_artifacts_deterministically(self, capsys, tmp_path,

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,10 @@ class TestFitReader:
         assert 0.0 < reader.coupling_coefficient < 0.95
         assert reader.reader_resistance > 0.0
         assert reader.reader_inductance > 0.0
+
+    def test_stock_fit_is_the_snapshot(self, rest_circuit):
+        snapshot = Path(__file__).parent / "snapshots" / "fit_reader_rest.txt"
+        assert repr(fit_reader(rest_circuit)) + "\n" == snapshot.read_text()
 
     def test_nonnegative_depth_rejected(self, rest_circuit):
         with pytest.raises(DomainError):
