@@ -10,9 +10,9 @@ from .calibration import (AgingSeries, CalibrationModel, CyclePoint,
                           CycleSeries, DriftMetrics, InversionResult,
                           RepeatabilityMetrics, cycle_series, drift_metrics,
                           fit_linear, invert, repeatability_metrics)
-from .circuit import (CalibrationBounds, LumpedCircuit, ModelCalibration,
-                      calibrate_baseline, ide_capacitance, loop_inductance,
-                      lumped_from_geometry, resonance_frequency)
+from .circuit import (LumpedCircuit, ModelCalibration, calibrate_baseline,
+                      ide_capacitance, loop_inductance, lumped_from_geometry,
+                      resonance_frequency)
 from .dsp import ResonanceEstimate, extract_resonance
 from .errors import (BadMagic, CalibrationFailed, ChecksumMismatch,
                      DegenerateInput, DegenerateModel, DomainError,

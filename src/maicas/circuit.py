@@ -227,8 +227,19 @@ class ModelCalibration:
 # A just-positive placeholder: the uncalibrated model carries no parasitic.
 _MIN_OFFSET_F = 1e-18
 
+TARGET_F0_HZ = 1.71e9     # stock baseline target: rest resonance
+TARGET_DEPTH_DB = -14.0   # and reflection dip depth
+LOSS_R_OHM = 5.0          # series loss of every baseline calibration
 
-def initial_calibration(device: DeviceGeometry, loss_r: float = 5.0) -> ModelCalibration:
+# Search box of calibrate_baseline.
+FINGER_COUNT_MIN, FINGER_COUNT_MAX = 4, 64
+FINGER_LENGTH_MIN_UM, FINGER_LENGTH_MAX_UM = 200.0, 8000.0
+FINGER_LENGTH_PIVOT_UM = 1000.0  # preferred overlap scale
+PERMITTIVITY_SCALE_MIN, PERMITTIVITY_SCALE_MAX = 0.5, 2.0
+OFFSET_FRACTION = 0.05  # parasitic share of total C
+
+
+def initial_calibration(device: DeviceGeometry) -> ModelCalibration:
     """Identity calibration: nominal fingers, unit permittivity scale,
     negligible parasitic offset."""
     return ModelCalibration(
@@ -236,7 +247,7 @@ def initial_calibration(device: DeviceGeometry, loss_r: float = 5.0) -> ModelCal
         parasitic_C_offset=_MIN_OFFSET_F,
         ide_finger_count=device.ide.finger_count,
         ide_finger_length=device.ide.finger_length,
-        loss_R=loss_r,
+        loss_R=LOSS_R_OHM,
     )
 
 
@@ -258,28 +269,12 @@ def lumped_from_geometry(device: DeviceGeometry, state: DeformationState,
     return LumpedCircuit(inductance, capacitance, cal.loss_R)
 
 
-@dataclass(frozen=True)
-class CalibrationBounds:
-    """Search box for calibrate_baseline."""
-
-    finger_count_min: int = 4
-    finger_count_max: int = 64
-    finger_length_min: float = 200.0     # μm
-    finger_length_max: float = 8000.0    # μm
-    permittivity_scale_min: float = 0.5
-    permittivity_scale_max: float = 2.0
-    offset_fraction: float = 0.05        # parasitic share of total C
-    loss_r: float = 5.0                  # ohm
-    finger_length_pivot: float = 1000.0  # μm, preferred overlap scale
-
-
 @memo
-def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
-                       target_depth_db: float = -14.0,
-                       bounds: CalibrationBounds | None = None) -> ModelCalibration:
+def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
+                       target_depth_db: float = TARGET_DEPTH_DB) -> ModelCalibration:
     """One-time deterministic baseline fit.
 
-    Chooses finger count/length inside the bounds so the interdigitated bank
+    Chooses finger count/length in the search box so the interdigitated bank
     lands near the capacitance the loop needs to resonate at target_f0, then
     sets the permittivity scale so the Rest-state f0 hits the target in
     closed form. The dip depth is handled jointly by the reader coupling fit
@@ -289,13 +284,11 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
     stochastic steps, well under the evaluation budget.
 
     Raises CalibrationFailed when the target is unreachable inside the
-    bounds or the joint dip residual stays above tolerance. A process fits
+    search box or the joint dip residual stays above tolerance. A process fits
     each argument set once (see maicas._memo); failures are not kept.
     """
     from . import readout  # deferred: readout imports this module's types
 
-    if bounds is None:
-        bounds = CalibrationBounds()
     if target_f0 <= 0:
         raise DomainError(f"target_f0 must be > 0, got {target_f0}")
     if target_depth_db >= 0:
@@ -305,7 +298,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
     inductance = loop_inductance(device.loop)
 
     # Fixed point: if the uncalibrated model already hits the target, keep it.
-    identity = initial_calibration(device, loss_r=bounds.loss_r)
+    identity = initial_calibration(device)
     f_identity = lumped_from_geometry(device, Rest(), identity).f0
     if abs(f_identity - target_f0) <= 1e6:
         readout.fit_reader(lumped_from_geometry(device, Rest(), identity),
@@ -315,17 +308,17 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
     def solve_stage_a(c_total: float) -> ModelCalibration:
         """Closed-form placement of (count, length, scale, offset) for a
         requested total capacitance."""
-        offset = bounds.offset_fraction * c_total
+        offset = OFFSET_FRACTION * c_total
         c_ide_target = c_total - offset
         best = None
-        for count in range(bounds.finger_count_min, bounds.finger_count_max + 1):
+        for count in range(FINGER_COUNT_MIN, FINGER_COUNT_MAX + 1):
             per_meter = ide_capacitance(
                 replace(device.ide, finger_count=count, finger_length=1e6),
                 device.stack)  # 1e6 μm = 1 m of overlap
             length = 1e6 * c_ide_target / per_meter
-            if not bounds.finger_length_min <= length <= bounds.finger_length_max:
+            if not FINGER_LENGTH_MIN_UM <= length <= FINGER_LENGTH_MAX_UM:
                 continue
-            badness = abs(math.log(length / bounds.finger_length_pivot))
+            badness = abs(math.log(length / FINGER_LENGTH_PIVOT_UM))
             if best is None or badness < best[0]:
                 best = (badness, count, length)
         if best is None:
@@ -337,7 +330,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
             replace(device.ide, finger_count=count, finger_length=length),
             device.stack)
         scale = c_ide_target / c_raw
-        if not bounds.permittivity_scale_min <= scale <= bounds.permittivity_scale_max:
+        if not PERMITTIVITY_SCALE_MIN <= scale <= PERMITTIVITY_SCALE_MAX:
             raise CalibrationFailed(
                 f"permittivity scale {scale:.4f} outside bounds",
                 residual=abs(f_identity - target_f0))
@@ -346,7 +339,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = 1.71e9,
             parasitic_C_offset=offset,
             ide_finger_count=count,
             ide_finger_length=length,
-            loss_R=bounds.loss_r,
+            loss_R=LOSS_R_OHM,
         )
 
     try:

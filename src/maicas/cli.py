@@ -17,8 +17,9 @@ from pathlib import Path
 from . import telemetry
 from .calibration import (CalibrationModel, MEASURAND_UNITS, fit_linear,
                           invert, parse_points)
-from .circuit import calibrate_baseline, lumped_from_geometry
-from .dsp import extract_resonance
+from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, calibrate_baseline,
+                      lumped_from_geometry)
+from .dsp import MIN_DEPTH_DB, extract_resonance
 from .errors import DomainError, MaicasError
 from .geometry import DeviceGeometry, Rest, device_from_dict
 from .jsonio import parse_json, read_text
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep file (.s1p or .csv)")
     p.add_argument("--model", metavar="JSON",
                    help="calibration model for measurand conversion")
-    p.add_argument("--min-depth-db", type=float, default=3.0, metavar="F64",
+    p.add_argument("--min-depth-db", type=float, default=MIN_DEPTH_DB,
+                   metavar="F64",
                    help="detection threshold (default 3 dB)")
     p.set_defaults(func=_cmd_extract)
 
@@ -258,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit the one-time device baseline")
     p.add_argument("--config", metavar="PATH",
                    help="device geometry JSON (defaults to the stock device)")
-    p.add_argument("--f0", type=float, default=1.71e9, metavar="HZ",
+    p.add_argument("--f0", type=float, default=TARGET_F0_HZ, metavar="HZ",
                    help="target rest resonance (default 1.71e9)")
-    p.add_argument("--depth-db", type=float, default=-14.0, metavar="F64",
+    p.add_argument("--depth-db", type=float, default=TARGET_DEPTH_DB,
+                   metavar="F64",
                    help="target dip depth (default -14)")
     p.add_argument("--out", metavar="JSON", help="write the calibration here")
     p.set_defaults(func=_cmd_calibrate_baseline)

@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._memo import memo
-from .circuit import LumpedCircuit, loop_inductance
+from .circuit import TARGET_DEPTH_DB, LumpedCircuit, loop_inductance
 from .errors import CalibrationFailed, DomainError
 from .geometry import DeviceGeometry
 
-DEFAULT_REFERENCE_IMPEDANCE = 50.0
+PORT_IMPEDANCE_OHM = 50.0
+READER_REACTANCE_RATIO = 0.1  # fit_reader's reactance fraction
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class ReaderCouple:
     reader_inductance: float
     reader_resistance: float
     coupling_coefficient: float
-    reference_impedance: float = DEFAULT_REFERENCE_IMPEDANCE
 
     def __post_init__(self):
         if self.reader_inductance <= 0:
@@ -40,9 +40,6 @@ class ReaderCouple:
         if not 0.0 <= self.coupling_coefficient < 1.0:
             raise DomainError(
                 f"coupling_coefficient must be in [0, 1), got {self.coupling_coefficient}")
-        if self.reference_impedance <= 0:
-            raise DomainError(
-                f"reference_impedance must be > 0, got {self.reference_impedance}")
 
 
 def default_reader(device: DeviceGeometry) -> ReaderCouple:
@@ -112,7 +109,7 @@ def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
     campaign over such a grid ends in DegenerateInput, not a traceback."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = input_impedance(circuit, reader, f)
-        z0 = reader.reference_impedance
+        z0 = PORT_IMPEDANCE_OHM
         return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))
 
 
@@ -131,14 +128,12 @@ def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
 
 def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
     """Additive Gaussian measurement noise, clamped to keep the sweep
-    passive. sigma_db = 0 returns the input unchanged. The seed may be an
-    int or a numpy SeedSequence."""
+    passive. sigma_db = 0 returns the input unchanged. The seed is any
+    seed numpy's PCG64 takes: an int, a sequence of ints or a SeedSequence."""
     if sigma_db < 0:
         raise DomainError(f"sigma_db must be >= 0, got {sigma_db}")
     if sigma_db == 0.0:
         return sweep
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = sweep.magnitude_db + rng.normal(0.0, sigma_db, sweep.n_points)
     return S11Sweep(sweep.f_start, sweep.f_stop, sweep.n_points,
@@ -177,8 +172,8 @@ def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
 
 
 @memo
-def fit_reader(circuit: LumpedCircuit, target_depth_db: float = -14.0,
-               x_ratio: float = 0.1) -> ReaderCouple:
+def fit_reader(circuit: LumpedCircuit,
+               target_depth_db: float = TARGET_DEPTH_DB) -> ReaderCouple:
     """Choose a reader that realizes the requested dip depth at the tank
     resonance.
 
@@ -192,12 +187,10 @@ def fit_reader(circuit: LumpedCircuit, target_depth_db: float = -14.0,
     if target_depth_db >= 0:
         raise DomainError(
             f"target_depth_db must be < 0 dB, got {target_depth_db}")
-    if not 0 < x_ratio < 1:
-        raise DomainError(f"x_ratio must be in (0, 1), got {x_ratio}")
-    z0 = DEFAULT_REFERENCE_IMPEDANCE
+    z0 = PORT_IMPEDANCE_OHM
     g = 10.0 ** (target_depth_db / 20.0)
     w0 = 2.0 * math.pi * circuit.f0
-    x_r = x_ratio * 2.0 * z0 * g
+    x_r = READER_REACTANCE_RATIO * 2.0 * z0 * g
     inductance_r = x_r / w0
     resistance_r = 1.0
 

@@ -19,12 +19,13 @@ import numpy as np
 
 from ._memo import memo
 from .calibration import CalibrationModel, fit_linear, line_fit
-from .circuit import ModelCalibration, calibrate_baseline, lumped_from_geometry
-from .dsp import ResonanceEstimate, extract_resonance
+from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, ModelCalibration,
+                      calibrate_baseline, lumped_from_geometry)
+from .dsp import MIN_DEPTH_DB, ResonanceEstimate, extract_resonance
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
-from .geometry import (DeviceGeometry, JointBend, Rest, RolledDisplacement,
-                       RolledPressure, UniaxialStrain)
+from .geometry import (MAX_ABS_STRAIN, DeviceGeometry, JointBend, Rest,
+                       RolledDisplacement, RolledPressure, UniaxialStrain)
 from .jsonio import load_json
 from .readout import ReaderCouple, S11Sweep, add_noise, fit_reader, s11_spectrum
 from .sweepio import write_touchstone
@@ -89,7 +90,6 @@ MODES = tuple(MODE_SPECS)
 
 DEFAULT_LUMEN_DIAMETER = 3.18  # mm
 DEFAULT_BEND_RADIUS = 2.0      # mm
-_STRAIN_LIMIT = 0.5
 _RTOL_MIN = 4.0 * 2.0 ** -52  # brentq's smallest relative tolerance, 4 eps
 
 
@@ -107,9 +107,9 @@ class ExperimentConfig:
     n_points: int = 2001
     device: DeviceGeometry = field(default_factory=DeviceGeometry)
     calibration: ModelCalibration | None = None
-    target_f0: float = 1.71e9
-    target_depth_db: float = -14.0
-    min_depth_db: float = 3.0
+    target_f0: float = TARGET_F0_HZ
+    target_depth_db: float = TARGET_DEPTH_DB
+    min_depth_db: float = MIN_DEPTH_DB
     lumen_diameter: float = DEFAULT_LUMEN_DIAMETER
     compliance: float | None = None      # graft strain per mmHg
     strain_scale: float | None = None    # epicardial gap-coupling scale
@@ -277,7 +277,7 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
     config = default_config(mode, device=device, calibration=cal)
     grid = config.measurand_grid
     x_extreme = max(abs(grid[0]), abs(grid[-1]))
-    p_max = ((_STRAIN_LIMIT * (1.0 - 1e-9))
+    p_max = ((MAX_ABS_STRAIN * (1.0 - 1e-9))
              / (spec.unit_strain(config) * x_extreme))
     p_min = 1e-9 * p_max
 

@@ -55,7 +55,7 @@ PORT_ENV_VAR = "MAICAS_PORT"
 BACKOFF_INITIAL_S = 0.5
 BACKOFF_FACTOR = 2.0
 BACKOFF_CAP_S = 30.0
-CONNECT_TIMEOUT_S = 5.0  # also the timeout of each socket read
+CONNECT_TIMEOUT_S = 5.0  # of the connect only: a read waits for its frame
 
 FRAME_INTERVAL_US = 1000  # timestamp step of synthesized frames, from 0
 
@@ -65,18 +65,22 @@ MAX_STREAM_POINTS = 1 << 24
 LOG_SCHEMA = "maicas-log/1"
 
 
+def _checked_port(port: int, source: str) -> int:
+    """port, or DomainError naming its source when outside 0..65535."""
+    if not 0 <= port <= 65535:
+        raise DomainError(f"{source} {port} outside 0..65535")
+    return port
+
+
 def default_port() -> int:
     """Port from the environment override, else the fixed default."""
     raw = os.environ.get(PORT_ENV_VAR)
     if raw is None:
         return DEFAULT_PORT
     try:
-        port = int(raw)
+        return _checked_port(int(raw), PORT_ENV_VAR)
     except ValueError:
         raise DomainError(f"{PORT_ENV_VAR}={raw!r} is not an integer")
-    if not 1 <= port <= 65535:
-        raise DomainError(f"{PORT_ENV_VAR}={port} outside 1..65535")
-    return port
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +208,10 @@ class _FrameHandler(socketserver.BaseRequestHandler):
 def start_server(frames: list[bytes], host: str = "127.0.0.1",
                  port: int | None = None,
                  frame_interval_s: float = 0.0) -> tuple[socketserver.TCPServer, threading.Thread]:
-    """Bind and serve the frame list on a background thread. Every client
-    connection replays the full list. Returns (server, thread); call
-    server.shutdown() then server.server_close() to stop."""
-    if port is None:
-        port = default_port()
+    """Bind and serve the frame list on a background thread; port 0 binds
+    a free one. Every client connection replays the full list. Returns
+    (server, thread); call server.shutdown() then server.server_close()."""
+    port = default_port() if port is None else _checked_port(port, "port")
     server = _FrameServer((host, port), list(frames), frame_interval_s)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -411,6 +414,7 @@ def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
         try:
             sock = socket.create_connection(address,
                                             timeout=CONNECT_TIMEOUT_S)
+            sock.settimeout(None)
         except OSError:
             if not reconnect or (max_connect_attempts is not None
                                  and attempts >= max_connect_attempts):
@@ -451,17 +455,23 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
     backoff sleep (0.5 s doubling to 30 s, reset by each connect) and a new
     connection; so is a clean end of stream unless reconnect is False. A
     refused connect is retried the same way unless reconnect is False or
-    max_connect_attempts are spent. stop, once set, ends the run before the
-    next connect, read or sleep."""
-    if port is None:
-        port = default_port()
+    max_connect_attempts are spent. Only the connect is timed: a read waits
+    for its frame however slowly the server sends it. stop, once set, is
+    seen between frames and ends the run before the next connect or sleep.
+    max_frames < 0, max_connect_attempts < 1 and a port outside 0..65535
+    are DomainErrors, raised before the log is opened."""
+    if max_frames is not None and max_frames < 0:
+        raise DomainError(f"max_frames must be >= 0, got {max_frames}")
+    if max_connect_attempts is not None and max_connect_attempts < 1:
+        raise DomainError(
+            f"max_connect_attempts must be >= 1, got {max_connect_attempts}")
+    port = default_port() if port is None else _checked_port(port, "port")
     tally = {"reconnects": 0}
-    limit = None if max_frames is None else max(max_frames, 0)  # < 0 as 0
     with contextlib.closing(_server_frames(
             (host, port), tally, reconnect=reconnect,
             max_connect_attempts=max_connect_attempts, stop=stop,
             sleep=_sleep)) as frames:
-        counts = process_frames(itertools.islice(frames, limit), model,
+        counts = process_frames(itertools.islice(frames, max_frames), model,
                                 log_path)
     return GatewayStats(sum(counts.values()), counts["ok"],
                         counts["extrapolated"], counts["no_resonance"],

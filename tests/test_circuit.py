@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from maicas.circuit import (CalibrationBounds, LumpedCircuit,
-                            ModelCalibration, _ellipk, _ellpk,
+from maicas.circuit import (FINGER_COUNT_MAX, FINGER_COUNT_MIN,
+                            FINGER_LENGTH_MAX_UM, FINGER_LENGTH_MIN_UM,
+                            PERMITTIVITY_SCALE_MAX, PERMITTIVITY_SCALE_MIN,
+                            LumpedCircuit, ModelCalibration, _ellipk, _ellpk,
                             calibrate_baseline,
                             ide_capacitance, initial_calibration,
                             loop_inductance, lumped_from_geometry,
@@ -241,10 +243,9 @@ class TestCalibrateBaseline:
         assert abs(rest_circuit.f0 - 1.71e9) < 1e3
 
     def test_parameters_inside_bounds(self, baseline_cal):
-        bounds = CalibrationBounds()
-        assert bounds.finger_count_min <= baseline_cal.ide_finger_count <= bounds.finger_count_max
-        assert bounds.finger_length_min <= baseline_cal.ide_finger_length <= bounds.finger_length_max
-        assert bounds.permittivity_scale_min <= baseline_cal.eff_permittivity_scale <= bounds.permittivity_scale_max
+        assert FINGER_COUNT_MIN <= baseline_cal.ide_finger_count <= FINGER_COUNT_MAX
+        assert FINGER_LENGTH_MIN_UM <= baseline_cal.ide_finger_length <= FINGER_LENGTH_MAX_UM
+        assert PERMITTIVITY_SCALE_MIN <= baseline_cal.eff_permittivity_scale <= PERMITTIVITY_SCALE_MAX
 
     def test_fixed_point_keeps_initial_parameters(self, device):
         identity = initial_calibration(device)

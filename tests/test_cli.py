@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -150,8 +151,32 @@ class TestStrictJson:
 
 
 class TestInputBoundaries:
-    """Negative seeds and non-finite numbers in input files are exit 1 with
-    one JSON error line, not a traceback or a NaN result."""
+    """Negative seeds, non-finite numbers in input files, negative gateway
+    counts and ports outside 0..65535 are exit 1 with one JSON error line,
+    not a traceback, a NaN result or a run that does nothing."""
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_outside_the_u16_range(self, capsys, port):
+        assert_one_error_line(capsys, "serve", "--mode", "aging",
+                              "--port", port)
+
+    @pytest.mark.parametrize("flags", [
+        ("--port", "-1", "--max-connect-attempts", "1"),
+        ("--port", "65536", "--max-connect-attempts", "1"),
+        ("--max-frames", "-3"),
+        ("--max-connect-attempts", "0")])
+    def test_gateway_counts_and_port(self, capsys, tmp_path, flags):
+        model = tmp_path / "model.json"
+        model.write_text(fit_linear([(50.0, 1.676e9), (200.0, 1.741e9)],
+                                    "mmHg").to_json())
+        log = tmp_path / "log.ndjson"
+        with socket.socket() as refuser:  # bound, never listening
+            refuser.bind(("127.0.0.1", 0))
+            # a --port in flags comes later and wins
+            assert_one_error_line(
+                capsys, "gateway", "--model", str(model), "--log", str(log),
+                "--port", str(refuser.getsockname()[1]), *flags)
+        assert not log.exists()
 
     def test_negative_seed_flag(self, capsys, tmp_path):
         assert_one_error_line(capsys, "simulate", "--mode", "aging",

@@ -58,9 +58,9 @@ def test_calibrate_baseline_matches_the_plain_fit(device, target_f0, depth):
                          inductance=st.floats(5e-9, 50e-9),
                          capacitance=st.floats(0.1e-12, 2e-12),
                          resistance=st.floats(0.5, 20.0)),
-       depth=st.floats(-30.0, -3.0), x_ratio=st.floats(0.02, 0.5))
-def test_fit_reader_matches_the_plain_fit(circuit, depth, x_ratio):
-    assert_memo_matches_plain(fit_reader, circuit, depth, x_ratio)
+       depth=st.floats(-30.0, -3.0))
+def test_fit_reader_matches_the_plain_fit(circuit, depth):
+    assert_memo_matches_plain(fit_reader, circuit, depth)
 
 
 @settings(max_examples=15, deadline=None)

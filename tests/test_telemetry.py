@@ -717,9 +717,59 @@ class TestGateway:
                         tmp_path / "none.ndjson", stop=stop)
         assert stats.frames_seen == 0
 
+    def test_frames_slower_than_the_connect_timeout(
+            self, sweep_pool, pressure_model, tmp_path, monkeypatch):
+        # only the connect is timed: a server that paces its frames more
+        # slowly than the connect timeout keeps its one session
+        monkeypatch.setattr(telemetry, "CONNECT_TIMEOUT_S", 0.2)
+        frames = frames_from_sweeps(sweep_pool[:3])
+        sleeps = []
+        server, _ = start_server(frames, port=0, frame_interval_s=0.5)
+        try:
+            stats = gateway("127.0.0.1", server.server_address[1],
+                            pressure_model, tmp_path / "live.ndjson",
+                            max_frames=3, _sleep=sleeps.append)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert stats.reconnects == 0
+        assert sleeps == []
+        assert [r["timestamp_us"] for r in read_log(tmp_path / "live.ndjson")
+                ] == [0, 1000, 2000]
+
+    @pytest.mark.parametrize("counts", [
+        {"max_frames": -1}, {"max_frames": -3},
+        {"max_connect_attempts": 0}, {"max_connect_attempts": -2}])
+    def test_negative_counts_are_domain_errors(self, pressure_model,
+                                               tmp_path, counts):
+        log = tmp_path / "none.ndjson"
+        sleeps = []
+        with pytest.raises(DomainError):
+            gateway("127.0.0.1", free_port(), pressure_model, log,
+                    _sleep=sleeps.append, **counts)
+        assert sleeps == []
+        assert not log.exists()
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_outside_the_u16_range(self, pressure_model, tmp_path,
+                                        port):
+        log = tmp_path / "none.ndjson"
+        with pytest.raises(DomainError, match=str(port)):
+            gateway("127.0.0.1", port, pressure_model, log,
+                    max_connect_attempts=1)
+        assert not log.exists()
+        with pytest.raises(DomainError, match=str(port)):
+            start_server([], port=port)
+
 
 def test_default_port_env_override(monkeypatch):
     monkeypatch.delenv("MAICAS_PORT", raising=False)
     assert default_port() == 47917
     monkeypatch.setenv("MAICAS_PORT", "50123")
     assert default_port() == 50123
+    monkeypatch.setenv("MAICAS_PORT", "0")  # any free port, as --port 0
+    assert default_port() == 0
+    for bad in ("65536", "-1", "port"):
+        monkeypatch.setenv("MAICAS_PORT", bad)
+        with pytest.raises(DomainError, match="MAICAS_PORT"):
+            default_port()
