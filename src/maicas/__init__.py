@@ -23,8 +23,8 @@ from .geometry import (DeviceGeometry, IdeGeometry, JointBend, LoopGeometry,
                        Rest, RolledDisplacement, RolledPressure,
                        SubstrateStack, UniaxialStrain, apply_strain,
                        strain_of)
-from .readout import (ReaderCouple, S11Sweep, add_noise, default_reader,
-                      fit_reader, input_impedance, s11_spectrum)
+from .readout import (ReaderCouple, S11Sweep, add_noise, fit_reader,
+                      input_impedance, s11_spectrum)
 from .scenarios import (ExperimentConfig, ExperimentResult, PointResult,
                         default_config, fit_scenario_coupling, media_shift,
                         run_experiment)

@@ -6,12 +6,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Literal, Sequence
 
 from .errors import (DegenerateInput, DegenerateModel, DomainError,
                      IncompleteCycle)
-from .jsonio import float_columns, load_json, read_text
+from .jsonio import float_columns, load_json
 
 # measurand unit -> the symbol the CLI prints after a slope
 MEASURAND_UNITS = {"percent-strain": "%", "mmHg": "mmHg", "um": "um",
@@ -193,8 +192,6 @@ class AgingSeries:
     strictly."""
 
     entries: tuple[tuple[float, float], ...]  # (elapsed_days, f0_hz)
-    aging_temperature: float = 70.0
-    equivalent_storage: str = ""
 
     def __post_init__(self):
         entries = tuple((float(d), float(f)) for d, f in self.entries)
@@ -241,13 +238,3 @@ def parse_points(text: str, source: str = "<string>") -> list[tuple[float, float
             raise DomainError(f"{source}: non-finite value in data row {n}")
     return points
 
-
-def read_points(path) -> list[tuple[float, float]]:
-    return parse_points(read_text(path), str(path))
-
-
-def write_points(points: Sequence[tuple[float, float]], path) -> None:
-    lines = [POINTS_CSV_HEADER]
-    for x, y in points:
-        lines.append(f"{float(x)!r},{float(y)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

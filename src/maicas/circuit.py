@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict, replace
 import json
 
 from ._memo import memo
-from .errors import CalibrationFailed, DomainError
+from .errors import CalibrationFailed, DomainError, require_positive
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
                        LoopGeometry, Rest, SubstrateStack, apply_strain,
                        strain_of)
@@ -210,10 +210,8 @@ class ModelCalibration:
     loss_R: float
 
     def __post_init__(self):
-        for name in ("eff_permittivity_scale", "parasitic_C_offset",
-                     "ide_finger_count", "ide_finger_length", "loss_R"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        require_positive(self, "eff_permittivity_scale", "parasitic_C_offset",
+                         "ide_finger_count", "ide_finger_length", "loss_R")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

@@ -1,7 +1,7 @@
 """Command-line front end for the sensor twin.
 
 Exit codes: 0 success, 1 domain error (one JSON line on stderr), 2 usage
-error. All outputs are deterministic for a fixed --seed.
+error, 130 interrupted. All outputs are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.csv"
-    result.write_summary_csv(summary_path)
+    summary_path.write_text(result.to_summary_csv())
     (out_dir / "model.json").write_text(result.summary.to_json() + "\n")
     (out_dir / "config.json").write_text(config.to_json() + "\n")
     if args.export_sweeps:
@@ -342,7 +342,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        sys.exit(130)
 
 
 if __name__ == "__main__":  # python -m maicas.cli

@@ -15,6 +15,14 @@ class DomainError(MaicasError):
     """An argument is outside the mathematical domain of an operation."""
 
 
+def require_positive(obj, *names: str) -> None:
+    """DomainError for the first of the named fields of obj that is <= 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if value <= 0:
+            raise DomainError(f"{name} must be > 0, got {value}")
+
+
 class OutOfModelRange(MaicasError):
     """A kinematic state maps to strain outside the validity window."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, OutOfModelRange
+from .errors import DomainError, OutOfModelRange, require_positive
 from .jsonio import from_dict
 
 # Validity window of the small-strain kinematic model.
@@ -39,9 +39,8 @@ class SubstrateStack:
     metal_thickness: float = 30.0
 
     def __post_init__(self):
-        for name in ("base_thickness", "encapsulation_thickness", "metal_thickness"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        require_positive(self, "base_thickness", "encapsulation_thickness",
+                         "metal_thickness")
         for name in ("substrate_rel_permittivity", "medium_rel_permittivity"):
             if getattr(self, name) < 1.0:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -63,12 +62,7 @@ class IdeGeometry:
     def __post_init__(self):
         if self.finger_count < 2:
             raise DomainError(f"finger_count must be >= 2, got {self.finger_count}")
-        if self.finger_length <= 0:
-            raise DomainError(f"finger_length must be > 0, got {self.finger_length}")
-        if self.trace_width <= 0:
-            raise DomainError(f"trace_width must be > 0, got {self.trace_width}")
-        if self.gap <= 0:
-            raise DomainError(f"gap must be > 0, got {self.gap}")
+        require_positive(self, "finger_length", "trace_width", "gap")
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,10 @@ class LoopGeometry:
     axis_scale: float = 1.0
 
     def __post_init__(self):
-        if self.outer_side <= 0:
-            raise DomainError(f"outer_side must be > 0, got {self.outer_side}")
+        require_positive(self, "outer_side")
         if self.turns < 1:
             raise DomainError(f"turns must be >= 1, got {self.turns}")
-        if self.trace_width <= 0:
-            raise DomainError(f"trace_width must be > 0, got {self.trace_width}")
-        if self.turn_spacing <= 0:
-            raise DomainError(f"turn_spacing must be > 0, got {self.turn_spacing}")
-        if self.axis_scale <= 0:
-            raise DomainError(f"axis_scale must be > 0, got {self.axis_scale}")
+        require_positive(self, "trace_width", "turn_spacing", "axis_scale")
         # The turns must physically fit inside the outer side.
         metal_span = 2 * (self.turns * self.trace_width
                           + (self.turns - 1) * self.turn_spacing)
@@ -121,8 +109,7 @@ class DeviceGeometry:
     poisson_ratio: float = DEFAULT_POISSON_RATIO
 
     def __post_init__(self):
-        if self.rest_length <= 0:
-            raise DomainError(f"rest_length must be > 0, got {self.rest_length}")
+        require_positive(self, "rest_length")
         if not 0.0 <= self.poisson_ratio < 0.5 + 1e-12:
             raise DomainError(
                 f"poisson_ratio must be in [0, 0.5], got {self.poisson_ratio}")
@@ -155,9 +142,7 @@ class RolledPressure:
     compliance: float
 
     def __post_init__(self):
-        if self.lumen_diameter <= 0:
-            raise DomainError(
-                f"lumen_diameter must be > 0, got {self.lumen_diameter}")
+        require_positive(self, "lumen_diameter")
         if self.pressure < 0:
             raise DomainError(f"pressure must be >= 0, got {self.pressure}")
 
@@ -177,9 +162,7 @@ class RolledDisplacement:
     expansion_positive: bool = True
 
     def __post_init__(self):
-        if self.lumen_diameter <= 0:
-            raise DomainError(
-                f"lumen_diameter must be > 0, got {self.lumen_diameter}")
+        require_positive(self, "lumen_diameter")
 
 
 @dataclass(frozen=True)
@@ -196,9 +179,7 @@ class JointBend:
         if not 0.0 <= self.angle <= 120.0:
             raise DomainError(
                 f"angle must be in [0, 120] degrees, got {self.angle}")
-        if self.effective_radius <= 0:
-            raise DomainError(
-                f"effective_radius must be > 0, got {self.effective_radius}")
+        require_positive(self, "effective_radius")
 
 
 DeformationState = Rest | UniaxialStrain | RolledPressure | RolledDisplacement | JointBend

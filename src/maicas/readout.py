@@ -9,14 +9,13 @@ dip near the tank resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._memo import memo
-from .circuit import TARGET_DEPTH_DB, LumpedCircuit, loop_inductance
-from .errors import CalibrationFailed, DomainError
-from .geometry import DeviceGeometry
+from .circuit import TARGET_DEPTH_DB, LumpedCircuit
+from .errors import CalibrationFailed, DomainError, require_positive
 
 PORT_IMPEDANCE_OHM = 50.0
 READER_REACTANCE_RATIO = 0.1  # fit_reader's reactance fraction
@@ -31,9 +30,7 @@ class ReaderCouple:
     coupling_coefficient: float
 
     def __post_init__(self):
-        if self.reader_inductance <= 0:
-            raise DomainError(
-                f"reader_inductance must be > 0, got {self.reader_inductance}")
+        require_positive(self, "reader_inductance")
         if self.reader_resistance < 0:
             raise DomainError(
                 f"reader_resistance must be >= 0, got {self.reader_resistance}")
@@ -42,15 +39,13 @@ class ReaderCouple:
                 f"coupling_coefficient must be in [0, 1), got {self.coupling_coefficient}")
 
 
-def default_reader(device: DeviceGeometry) -> ReaderCouple:
-    """Single-turn reader ring matched in size to the sensor loop, loosely
-    coupled. Useful as a starting point; fit_reader produces the tuned one."""
-    ring = replace(device.loop, turns=1, axis_scale=1.0)
-    return ReaderCouple(
-        reader_inductance=loop_inductance(ring),
-        reader_resistance=1.0,
-        coupling_coefficient=0.05,
-    )
+def _check_grid(f_start: float, f_stop: float, n_points: int) -> None:
+    """DomainError unless 0 < f_start < f_stop and n_points >= 2."""
+    if f_start <= 0 or f_stop <= f_start:
+        raise DomainError(
+            f"need 0 < f_start < f_stop, got [{f_start}, {f_stop}]")
+    if n_points < 2:
+        raise DomainError(f"n_points must be >= 2, got {n_points}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +58,7 @@ class S11Sweep:
     magnitude_db: np.ndarray
 
     def __post_init__(self):
-        if self.f_start <= 0 or self.f_stop <= self.f_start:
-            raise DomainError(
-                f"need 0 < f_start < f_stop, got [{self.f_start}, {self.f_stop}]")
-        if self.n_points < 2:
-            raise DomainError(f"n_points must be >= 2, got {self.n_points}")
+        _check_grid(self.f_start, self.f_stop, self.n_points)
         # one call converts and copies, so the caller's array stays its own
         mags = np.array(self.magnitude_db, dtype=np.float64)
         if mags.shape != (self.n_points,):
@@ -116,11 +107,7 @@ def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
 def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
                  f_start: float, f_stop: float, n_points: int) -> S11Sweep:
     """Reflection magnitude in dB over a uniform inclusive grid."""
-    if f_start <= 0 or f_stop <= f_start:
-        raise DomainError(
-            f"need 0 < f_start < f_stop, got [{f_start}, {f_stop}]")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points}")
+    _check_grid(f_start, f_stop, n_points)
     f = np.linspace(f_start, f_stop, n_points)
     mags = _reflection_db(circuit, reader, f)
     return S11Sweep(f_start, f_stop, n_points, np.minimum(mags, 0.0))
@@ -128,10 +115,11 @@ def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
 
 def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
     """Additive Gaussian measurement noise, clamped to keep the sweep
-    passive. sigma_db = 0 returns the input unchanged. The seed is any
-    seed numpy's PCG64 takes: an int, a sequence of ints or a SeedSequence."""
-    if sigma_db < 0:
-        raise DomainError(f"sigma_db must be >= 0, got {sigma_db}")
+    passive. sigma_db = 0 returns the input unchanged; a sigma_db that is
+    not finite and >= 0 is a DomainError. The seed is any seed numpy's PCG64
+    takes: an int, a sequence of ints or a SeedSequence."""
+    if not 0 <= sigma_db < math.inf:
+        raise DomainError(f"sigma_db must be finite and >= 0, got {sigma_db}")
     if sigma_db == 0.0:
         return sweep
     rng = np.random.Generator(np.random.PCG64(seed))

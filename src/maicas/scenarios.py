@@ -21,7 +21,8 @@ from ._memo import memo
 from .calibration import CalibrationModel, fit_linear, line_fit
 from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, ModelCalibration,
                       calibrate_baseline, lumped_from_geometry)
-from .dsp import MIN_DEPTH_DB, ResonanceEstimate, extract_resonance
+from .dsp import (MIN_DEPTH_DB, SMOOTHING_WINDOW, ResonanceEstimate,
+                  extract_resonance)
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
 from .geometry import (MAX_ABS_STRAIN, DeviceGeometry, JointBend, Rest,
@@ -132,13 +133,14 @@ class ExperimentConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
             raise DomainError(f"repeats must be >= 1, got {self.repeats}")
-        if self.noise_sigma_db < 0:
-            raise DomainError(
-                f"noise_sigma_db must be >= 0, got {self.noise_sigma_db}")
+        if not 0 <= self.noise_sigma_db < math.inf:
+            raise DomainError(f"noise_sigma_db must be finite and >= 0, "
+                              f"got {self.noise_sigma_db}")
         if self.f_start <= 0 or self.f_stop <= self.f_start:
             raise DomainError("need 0 < f_start < f_stop")
-        if self.n_points < 5:
-            raise DomainError(f"n_points must be >= 5, got {self.n_points}")
+        if self.n_points < SMOOTHING_WINDOW:
+            raise DomainError(
+                f"n_points must be >= {SMOOTHING_WINDOW}, got {self.n_points}")
         if self.lumen_diameter <= 0:
             raise DomainError("lumen_diameter must be > 0")
 
@@ -347,9 +349,6 @@ class ExperimentResult:
         for p in self.points:
             lines.append(f"{p.measurand!r},{p.mean_f0!r},{p.sd_f0!r},{p.n_ok}")
         return "\n".join(lines) + "\n"
-
-    def write_summary_csv(self, path) -> None:
-        Path(path).write_text(self.to_summary_csv())
 
     def export_sweeps(self, directory) -> list[Path]:
         """Touchstone file per repeat, named by grid and repeat index."""

@@ -48,7 +48,7 @@ def read_touchstone(path) -> S11Sweep:
     for line in read_text(path).splitlines():
         line = line.split("!", 1)[0].strip()
         if line.startswith("#"):
-            if line[1:].upper().split() != ["HZ", "S", "DB", "R", "50"]:
+            if line[1:].upper().split() != TOUCHSTONE_OPTION_LINE[1:].split():
                 raise DomainError(
                     f"{path}: unsupported Touchstone options {line!r}")
             saw_options = True

@@ -58,6 +58,7 @@ BACKOFF_CAP_S = 30.0
 CONNECT_TIMEOUT_S = 5.0  # of the connect only: a read waits for its frame
 
 FRAME_INTERVAL_US = 1000  # timestamp step of synthesized frames, from 0
+MAX_SERVE_INTERVAL_S = 86400.0  # longest pause start_server takes: one day
 
 # refuse to buffer absurd frames when framing off a live stream
 MAX_STREAM_POINTS = 1 << 24
@@ -209,8 +210,13 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
                  port: int | None = None,
                  frame_interval_s: float = 0.0) -> tuple[socketserver.TCPServer, threading.Thread]:
     """Bind and serve the frame list on a background thread; port 0 binds
-    a free one. Every client connection replays the full list. Returns
-    (server, thread); call server.shutdown() then server.server_close()."""
+    a free one. Every client connection replays the full list, pausing
+    frame_interval_s between frames; a pause outside 0..MAX_SERVE_INTERVAL_S
+    is a DomainError. Returns (server, thread); call server.shutdown() then
+    server.server_close()."""
+    if not 0 <= frame_interval_s <= MAX_SERVE_INTERVAL_S:
+        raise DomainError(f"frame interval {frame_interval_s} s outside "
+                          f"0..{MAX_SERVE_INTERVAL_S:g} s")
     port = default_port() if port is None else _checked_port(port, "port")
     server = _FrameServer((host, port), list(frames), frame_interval_s)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -402,15 +408,12 @@ def split_dump(data: bytes) -> list[bytes]:
 
 
 def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
-                   max_connect_attempts: int | None, stop, sleep):
+                   max_connect_attempts: int | None, sleep):
     """Raw frames from a server in arrival order, across connections: the
-    connect, backoff, reconnect and stop policy that gateway documents.
+    connect, backoff and reconnect policy that gateway documents.
     tally["reconnects"] counts the connects after the first attempt."""
-    stopped = stop.is_set if stop is not None else lambda: False
     backoff = BACKOFF_INITIAL_S
-    attempts = 0
-    while not stopped():
-        attempts += 1
+    for attempts in itertools.count(1):
         try:
             sock = socket.create_connection(address,
                                             timeout=CONNECT_TIMEOUT_S)
@@ -424,21 +427,14 @@ def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
                 tally["reconnects"] += 1
             backoff = BACKOFF_INITIAL_S
             with sock, sock.makefile("rb") as stream:
-                if stopped():
-                    return
                 try:
-                    for raw in iter(functools.partial(read_frame, stream),
-                                    None):
-                        yield raw
-                        if stopped():
-                            return
+                    yield from iter(functools.partial(read_frame, stream),
+                                    None)
                 except (FrameError, OSError):
                     pass  # framing lost; reconnect for a fresh stream
                 else:
                     if not reconnect:
                         return  # clean end of stream
-        if stopped():
-            return
         sleep(backoff)
         backoff = min(backoff * BACKOFF_FACTOR, BACKOFF_CAP_S)
 
@@ -446,7 +442,6 @@ def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
 def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
             *, max_frames: int | None = None, reconnect: bool = True,
             max_connect_attempts: int | None = None,
-            stop: threading.Event | None = None,
             _sleep=time.sleep) -> GatewayStats:
     """Log the frames a server streams: process_frames over the first
     max_frames of them (all when None), read across reconnections.
@@ -456,8 +451,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
     connection; so is a clean end of stream unless reconnect is False. A
     refused connect is retried the same way unless reconnect is False or
     max_connect_attempts are spent. Only the connect is timed: a read waits
-    for its frame however slowly the server sends it. stop, once set, is
-    seen between frames and ends the run before the next connect or sleep.
+    for its frame however slowly the server sends it.
     max_frames < 0, max_connect_attempts < 1 and a port outside 0..65535
     are DomainErrors, raised before the log is opened."""
     if max_frames is not None and max_frames < 0:
@@ -469,7 +463,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
     tally = {"reconnects": 0}
     with contextlib.closing(_server_frames(
             (host, port), tally, reconnect=reconnect,
-            max_connect_attempts=max_connect_attempts, stop=stop,
+            max_connect_attempts=max_connect_attempts,
             sleep=_sleep)) as frames:
         counts = process_frames(itertools.islice(frames, max_frames), model,
                                 log_path)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from maicas.calibration import (MEASURAND_UNITS, POINTS_CSV_HEADER,
-                                AgingSeries, CalibrationModel, cycle_series,
+from maicas.calibration import (MEASURAND_UNITS, AgingSeries,
+                                CalibrationModel, cycle_series,
                                 drift_metrics, fit_linear, invert,
-                                parse_points, read_points,
-                                repeatability_metrics, write_points)
+                                parse_points, repeatability_metrics)
 from maicas.errors import (DegenerateInput, DegenerateModel, DomainError,
                            IncompleteCycle)
 
@@ -234,10 +233,6 @@ class TestAging:
         metrics = drift_metrics(series)
         assert metrics.slope_hz_per_day == pytest.approx(-5e3, rel=1e-9)
 
-    def test_defaults(self):
-        series = AgingSeries(((0.0, 1.71e9), (7.0, 1.71e9)))
-        assert series.aging_temperature == 70.0
-
     def test_must_start_at_day_zero(self):
         with pytest.raises(DomainError):
             AgingSeries(((1.0, 1.71e9), (2.0, 1.71e9)))
@@ -252,13 +247,6 @@ class TestAging:
 
 
 class TestPointsCsv:
-    def test_round_trip(self, tmp_path):
-        pts = [(0.0, 1.7e9), (2.5, 1.70725e9), (5.0, 1.7145e9)]
-        path = tmp_path / "pts.csv"
-        write_points(pts, path)
-        assert read_points(path) == pts
-        assert path.read_text().splitlines()[0] == POINTS_CSV_HEADER
-
     def test_comments_skipped(self):
         pts = parse_points("# table\nx,y_hz\n0.0,1.7e9\n1.0,1.71e9\n")
         assert pts == [(0.0, 1.7e9), (1.0, 1.71e9)]

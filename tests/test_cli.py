@@ -5,9 +5,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,21 @@ class TestInputBoundaries:
                 capsys, "gateway", "--model", str(model), "--log", str(log),
                 "--port", str(refuser.getsockname()[1]), *flags)
         assert not log.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_flag(self, capsys, tmp_path, sigma):
+        assert_one_error_line(capsys, "simulate", "--mode", "aging",
+                              "--out", str(tmp_path / "run"),
+                              "--sigma-db", sigma)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("interval_ms", ["inf", "nan", "-5", "1e13"])
+    def test_serve_interval_outside_bounds(self, capsys, interval_ms):
+        # checked before binding: the busy port would be an OSError
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            assert_one_error_line(capsys, "serve", "--mode", "aging",
+                                  "--port", str(busy.getsockname()[1]),
+                                  "--interval-ms", interval_ms)
 
     def test_negative_seed_flag(self, capsys, tmp_path):
         assert_one_error_line(capsys, "simulate", "--mode", "aging",
@@ -825,3 +842,57 @@ class TestServe:
         assert json.loads(out)["frames_seen"] == 20
         assert ((tmp_path / "live.ndjson").read_bytes()
                 == (tmp_path / "replay.ndjson").read_bytes())
+
+    @staticmethod
+    def interrupted(*argv) -> subprocess.CompletedProcess:
+        """python -m maicas.cli argv, sent SIGINT once its first output
+        line (serve) or its fourth log line (gateway) appears."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maicas.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=module_env(),
+            # an ignored SIGINT would stay ignored across exec
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            if argv[0] == "serve":
+                assert proc.stdout.readline().startswith("serving ")
+            else:
+                log = Path(argv[argv.index("--log") + 1])
+                deadline = time.monotonic() + 30.0
+                while not (log.exists()
+                           and log.read_bytes().count(b"\n") >= 4):
+                    assert time.monotonic() < deadline, "no records"
+                    time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+
+    def test_interrupted_serve_exits_130_silently(self):
+        proc = self.interrupted("serve", "--mode", "aging", "--port", "0")
+        assert proc.returncode == 130
+        assert proc.stderr == ""
+
+    def test_interrupted_gateway_log_ends_on_a_whole_record(
+            self, tmp_path, rest_circuit, reader):
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 101)
+        frames = [encode_frame(1, i, sweep) for i in range(50)]
+        model = tmp_path / "model.json"
+        model.write_text(fit_linear([(50.0, 1.676e9), (200.0, 1.741e9)],
+                                    "mmHg").to_json())
+        log = tmp_path / "live.ndjson"
+        server, _ = start_server(frames, port=0, frame_interval_s=0.01)
+        try:
+            proc = self.interrupted(
+                "gateway", "--model", str(model), "--log", str(log),
+                "--port", str(server.server_address[1]))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert proc.returncode == 130
+        assert (proc.stdout, proc.stderr) == ("", "")
+        assert log.read_bytes().endswith(b"\n")
+        assert len(read_log(log)) >= 3

@@ -6,9 +6,8 @@ import pytest
 
 from maicas.circuit import LumpedCircuit
 from maicas.errors import CalibrationFailed, DomainError
-from maicas.readout import (ReaderCouple, S11Sweep, add_noise,
-                            default_reader, dip_of, fit_reader,
-                            input_impedance, s11_spectrum)
+from maicas.readout import (ReaderCouple, S11Sweep, add_noise, dip_of,
+                            fit_reader, input_impedance, s11_spectrum)
 
 
 def mesh_impedance(circuit, reader, f):
@@ -140,6 +139,12 @@ class TestAddNoise:
         with pytest.raises(DomainError):
             add_noise(sweep, -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, rest_circuit, reader, sigma):
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 11)
+        with pytest.raises(DomainError, match="finite"):
+            add_noise(sweep, sigma, 0)
+
 
 class TestFitReader:
     @pytest.mark.parametrize("target", [-20.0, -14.0, -6.0])
@@ -167,12 +172,6 @@ class TestFitReader:
 
 
 class TestDefaultReader:
-    def test_single_turn_ring(self, device):
-        rdr = default_reader(device)
-        assert rdr.reader_resistance == 1.0
-        assert rdr.coupling_coefficient == pytest.approx(0.05)
-        assert 1e-9 < rdr.reader_inductance < 1e-7
-
     def test_validation(self):
         with pytest.raises(DomainError):
             ReaderCouple(6e-9, 1.0, 1.0)      # k must stay below unity

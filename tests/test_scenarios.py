@@ -59,6 +59,10 @@ class TestConfigValidation:
          "lumen_diameter": 0.0},
         {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),
          "f_start": 2.0e9, "f_stop": 1.5e9},
+        {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),
+         "noise_sigma_db": math.inf},
+        {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),
+         "noise_sigma_db": math.nan},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(DomainError):
@@ -301,9 +305,6 @@ class TestRunExperiment:
     def test_write_and_export(self, device, baseline_cal, tmp_path):
         cfg = quiet_config("joint_bend", device, baseline_cal)
         result = run_experiment(cfg)
-        csv_path = tmp_path / "summary.csv"
-        result.write_summary_csv(csv_path)
-        assert csv_path.read_text() == result.to_summary_csv()
         written = result.export_sweeps(tmp_path / "sweeps")
         assert len(written) == len(cfg.measurand_grid)
         assert written[0].name == "sweep_g00_r00.s1p"

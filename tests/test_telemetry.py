@@ -5,7 +5,6 @@ import math
 import socket
 import struct
 import tempfile
-import threading
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -678,24 +677,6 @@ class TestGateway:
         assert stats.reconnects == 0
         assert sleeps == []
 
-    def test_stop_set_during_the_backoff_ends_the_run(
-            self, sweep_pool, pressure_model, tmp_path):
-        frames = mixed_frames(sweep_pool)
-        stop = threading.Event()
-        sleeps = []
-
-        def sleep_then_stop(seconds):
-            sleeps.append(seconds)
-            stop.set()
-
-        with payload_server(b"".join(frames)) as port:
-            stats = gateway("127.0.0.1", port, pressure_model,
-                            tmp_path / "live.ndjson", stop=stop,
-                            _sleep=sleep_then_stop)
-        assert stats.frames_seen == len(frames)
-        assert stats.reconnects == 0
-        assert sleeps == [0.5]
-
     def test_zero_max_frames_never_connects(self, pressure_model, tmp_path):
         log = tmp_path / "none.ndjson"
         sleeps = []
@@ -709,13 +690,6 @@ class TestGateway:
         assert stats == GatewayStats(0, 0, 0, 0, 0)
         assert sleeps == []
         assert log.read_text() == json.dumps({"schema": LOG_SCHEMA}) + "\n"
-
-    def test_stop_event_precludes_connection(self, pressure_model, tmp_path):
-        stop = threading.Event()
-        stop.set()
-        stats = gateway("127.0.0.1", free_port(), pressure_model,
-                        tmp_path / "none.ndjson", stop=stop)
-        assert stats.frames_seen == 0
 
     def test_frames_slower_than_the_connect_timeout(
             self, sweep_pool, pressure_model, tmp_path, monkeypatch):
