@@ -16,6 +16,10 @@ So are reference_ellipk and reference_brentq, the two scipy calls the
 package made before it ported them to pure Python (scipy is a test
 dependency only): the elliptic integral through scipy.special and
 scipy.optimize.brentq itself.
+
+And reference_touchstone_text and reference_csv_text: the sweep file
+writers' per-row loops as they were before the writers formatted whole
+columns, so tests can require every written byte to stay the same.
 """
 
 from __future__ import annotations
@@ -252,3 +256,21 @@ def reference_ellipk(k: float) -> float:
 
 reference_ellpk = special.ellipkm1
 reference_brentq = optimize.brentq
+
+
+# --- sweep file writers, one row at a time ------------------------------------
+
+def reference_touchstone_text(sweep) -> str:
+    """The text sweepio.write_touchstone wrote, from its per-row loop."""
+    lines = ["! one-port reflection magnitude", "# HZ S DB R 50"]
+    for f, m in zip(sweep.frequencies, sweep.magnitude_db):
+        lines.append(f"{float(f)!r} {float(m)!r} 0.0")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv_text(sweep) -> str:
+    """The text sweepio.write_csv wrote, from its per-row loop."""
+    lines = ["frequency_hz,magnitude_db"]
+    for f, m in zip(sweep.frequencies, sweep.magnitude_db):
+        lines.append(f"{float(f)!r},{float(m)!r}")
+    return "\n".join(lines) + "\n"

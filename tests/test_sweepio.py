@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from maicas.calibration import parse_points
 from maicas.errors import DomainError
-from maicas.readout import add_noise, s11_spectrum
+from maicas.readout import S11Sweep, add_noise, s11_spectrum
 from maicas.sweepio import (CSV_HEADER, TOUCHSTONE_OPTION_LINE, read_csv,
                             read_sweep, read_touchstone, write_csv,
                             write_sweep, write_touchstone)
@@ -120,3 +123,92 @@ class TestSuffixDispatch:
             write_sweep(noisy_sweep, tmp_path / "a.json")
         with pytest.raises(DomainError):
             read_sweep(tmp_path / "a.json")
+
+
+# Passive finite magnitudes, with the values whose shortest repr is least
+# like the others: signed zero, the smallest subnormal, the most negative
+# normal magnitude, a tiny positive one still under the passivity limit,
+# and integer-valued floats.
+_MAGNITUDES = (st.floats(max_value=1e-9, allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 0.0, -5e-324, -1e308, 1e-10])
+               | st.integers(-10**6, 0).map(float))
+_FREQUENCIES = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@st.composite
+def valid_sweeps(draw):
+    f_start = draw(_FREQUENCIES)
+    f_stop = draw(st.floats(min_value=f_start, max_value=1.7e308,
+                            exclude_min=True))
+    mags = draw(st.lists(_MAGNITUDES, min_size=2, max_size=40))
+    return S11Sweep(f_start, f_stop, len(mags), np.array(mags))
+
+
+class TestWrittenBytes:
+    """The writers' bytes are those of their per-row reference loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep=valid_sweeps())
+    def test_touchstone_bytes(self, sweep, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytes") / "sweep.s1p"
+        write_touchstone(sweep, path)
+        assert path.read_bytes() == oracles.reference_touchstone_text(sweep).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep=valid_sweeps())
+    def test_csv_bytes(self, sweep, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytes") / "sweep.csv"
+        write_csv(sweep, path)
+        assert path.read_bytes() == oracles.reference_csv_text(sweep).encode()
+
+    def test_stock_sweep_bytes(self, noisy_sweep, tmp_path):
+        for name, reference in (("a.s1p", oracles.reference_touchstone_text),
+                                ("a.csv", oracles.reference_csv_text)):
+            write_sweep(noisy_sweep, tmp_path / name)
+            assert (tmp_path / name).read_text() == reference(noisy_sweep)
+
+
+class TestErrorPrecedence:
+    """Which error a file with several faults reports, word for word."""
+
+    @pytest.mark.parametrize("name,body,message", [
+        ("a.s1p", "# HZ S DB R 50\n1.0e9\napple -1.0 0.0\n",
+         "malformed data row '1.0e9'"),
+        ("a.s1p", "# HZ S DB R 50\napple -1.0 0.0\n1.0e9\n",
+         "non-numeric data row 'apple -1.0 0.0'"),
+        ("a.csv", "frequency_hz,magnitude_db\n1.0e9\n1.5e9,abc\n",
+         "malformed data row '1.0e9'"),
+        ("a.csv", "frequency_hz,magnitude_db\n1.5e9,abc\n1.0e9\n",
+         "non-numeric data row '1.5e9,abc'"),
+        # an option line is checked before any data row, wherever it stands
+        ("a.s1p", "1.0e9\n# GHZ S DB R 50\n",
+         "unsupported Touchstone options '# GHZ S DB R 50'"),
+        ("a.s1p", "apple -1.0 0.0 ! note\n  # HZ S RI R 50 ! note\n",
+         "unsupported Touchstone options '# HZ S RI R 50'"),
+        # a bad row is reported before the missing option line
+        ("a.s1p", "1.0e9 -1.0 0.0\n1.5e9 x 0.0\n",
+         "non-numeric data row '1.5e9 x 0.0'"),
+        ("a.s1p", "1.0e9 -1.0 0.0\n1.5e9 -1 0 0\n",
+         "malformed data row '1.5e9 -1 0 0'"),
+        ("a.s1p", "1.0e9 -1.0 0.0\n2.0e9 -1.0 0.0\n",
+         "missing Touchstone option line"),
+        # a bad row is reported before a non-finite one
+        ("a.csv", "frequency_hz,magnitude_db\n1.0e9,nan\n1.5e9,?\n",
+         "non-numeric data row '1.5e9,?'"),
+    ])
+    def test_sweep_files(self, tmp_path, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        with pytest.raises(DomainError) as excinfo:
+            read_sweep(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("body,message", [
+        ("x,y_hz\n1\n2,abc\n", "malformed data row '1'"),
+        ("x,y_hz\n2,abc\n1\n", "non-numeric data row '2,abc'"),
+        ("x,y_hz\n0,nan\n1,2,3\n", "malformed data row '1,2,3'"),
+    ])
+    def test_points_csv(self, body, message):
+        with pytest.raises(DomainError) as excinfo:
+            parse_points(body, "pts.csv")
+        assert str(excinfo.value) == f"pts.csv: {message}"
