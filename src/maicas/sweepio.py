@@ -1,9 +1,11 @@
 """Sweep serialization: one-port Touchstone and plain CSV.
 
 Both formats round-trip the grid and magnitudes at full float64 precision
-(values are written with shortest round-trip repr). Touchstone files carry a
-phase column for format compliance; it is written as 0.0 and ignored on
-read because the twin models magnitude only.
+(values are written with shortest round-trip repr). A sweep that read_sweep
+would refuse, such as one with a non-finite sample, is refused before its
+file is opened. Touchstone files carry a phase column for format compliance;
+it is written as 0.0 and ignored on read because the twin models magnitude
+only.
 """
 
 from __future__ import annotations
@@ -36,35 +38,34 @@ def _sweep_from_columns(freqs: np.ndarray, mags: np.ndarray, source: str) -> S11
     return S11Sweep(float(freqs[0]), float(freqs[-1]), int(freqs.size), mags)
 
 
+def _write(sweep: S11Sweep, path, head: list[str], sep: str, tail: str = "") -> None:
+    freqs, mags = sweep.frequencies, sweep.magnitude_db
+    _sweep_from_columns(freqs, mags, f"cannot write {path}")
+    rows = [f"{f!r}{sep}{m!r}{tail}" for f, m in zip(freqs.tolist(), mags.tolist())]
+    Path(path).write_text("\n".join([*head, *rows]) + "\n")
+
+
 def write_touchstone(sweep: S11Sweep, path) -> None:
-    lines = ["! one-port reflection magnitude", TOUCHSTONE_OPTION_LINE]
-    for f, m in zip(sweep.frequencies, sweep.magnitude_db):
-        lines.append(f"{float(f)!r} {float(m)!r} 0.0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(sweep, path, ["! one-port reflection magnitude",
+                         TOUCHSTONE_OPTION_LINE], " ", " 0.0")
 
 
 def read_touchstone(path) -> S11Sweep:
-    rows, saw_options = [], False
-    for line in read_text(path).splitlines():
-        line = line.split("!", 1)[0].strip()
-        if line.startswith("#"):
-            if line[1:].upper().split() != TOUCHSTONE_OPTION_LINE[1:].split():
-                raise DomainError(
-                    f"{path}: unsupported Touchstone options {line!r}")
-            saw_options = True
-        else:
-            rows.append(line)
-    freqs, mags = float_columns(rows, str(path), widths=(2, 3))
-    if not saw_options:
+    lines = [ln.split("!", 1)[0] if "!" in ln else ln
+             for ln in read_text(path).splitlines()]
+    # option lines start with '#' once stripped; float_columns skips them
+    options = [ln.strip() for ln in lines if "#" in ln and ln.lstrip()[0] == "#"]
+    for line in options:
+        if line[1:].upper().split() != TOUCHSTONE_OPTION_LINE[1:].split():
+            raise DomainError(f"{path}: unsupported Touchstone options {line!r}")
+    freqs, mags = float_columns(lines, str(path), widths=(2, 3))
+    if not options:
         raise DomainError(f"{path}: missing Touchstone option line")
     return _sweep_from_columns(np.asarray(freqs), np.asarray(mags), str(path))
 
 
 def write_csv(sweep: S11Sweep, path) -> None:
-    lines = [CSV_HEADER]
-    for f, m in zip(sweep.frequencies, sweep.magnitude_db):
-        lines.append(f"{float(f)!r},{float(m)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(sweep, path, [CSV_HEADER], ",")
 
 
 def read_csv(path) -> S11Sweep:
@@ -73,21 +74,17 @@ def read_csv(path) -> S11Sweep:
     return _sweep_from_columns(np.asarray(freqs), np.asarray(mags), str(path))
 
 
+def _by_suffix(path, touchstone, csv):
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".s1p", ".csv"):
+        raise DomainError(f"unsupported sweep format {suffix!r}")
+    return touchstone if suffix == ".s1p" else csv
+
+
 def write_sweep(sweep: S11Sweep, path) -> None:
     """Dispatch on file suffix: .s1p or .csv."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".s1p":
-        write_touchstone(sweep, path)
-    elif suffix == ".csv":
-        write_csv(sweep, path)
-    else:
-        raise DomainError(f"unsupported sweep format {suffix!r}")
+    _by_suffix(path, write_touchstone, write_csv)(sweep, path)
 
 
 def read_sweep(path) -> S11Sweep:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".s1p":
-        return read_touchstone(path)
-    if suffix == ".csv":
-        return read_csv(path)
-    raise DomainError(f"unsupported sweep format {suffix!r}")
+    return _by_suffix(path, read_touchstone, read_csv)(path)

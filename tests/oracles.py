@@ -17,9 +17,11 @@ package made before it ported them to pure Python (scipy is a test
 dependency only): the elliptic integral through scipy.special and
 scipy.optimize.brentq itself.
 
-And reference_touchstone_text and reference_csv_text: the sweep file
-writers' per-row loops as they were before the writers formatted whole
-columns, so tests can require every written byte to stay the same.
+And reference_touchstone_text, reference_csv_text and
+reference_float_columns: the sweep file writers' and the numeric-row
+reader's per-row loops as they were before they worked on whole columns, so
+tests can require every written byte and every error message to stay the
+same.
 """
 
 from __future__ import annotations
@@ -274,3 +276,25 @@ def reference_csv_text(sweep) -> str:
     for f, m in zip(sweep.frequencies, sweep.magnitude_db):
         lines.append(f"{float(f)!r},{float(m)!r}")
     return "\n".join(lines) + "\n"
+
+
+def reference_float_columns(lines, source, *, header=None, sep=None,
+                            widths=(2,)):
+    """jsonio.float_columns as it was, converting one row at a time."""
+    rows = [ln for ln in map(str.strip, lines) if ln and ln[0] != "#"]
+    if header is not None:
+        if not rows or rows[0].replace(" ", "") != header:
+            raise DomainError(f"{source}: expected header '{header}'")
+        del rows[0]
+    xs, ys = [], []
+    for row in rows:
+        fields = row.split(sep)
+        if len(fields) not in widths:
+            raise DomainError(f"{source}: malformed data row {row!r}")
+        try:
+            xs.append(float(fields[0]))
+            ys.append(float(fields[1]))
+        except ValueError:
+            raise DomainError(
+                f"{source}: non-numeric data row {row!r}") from None
+    return xs, ys

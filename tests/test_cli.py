@@ -20,7 +20,7 @@ from maicas.calibration import fit_linear
 from maicas.circuit import ModelCalibration, calibrate_baseline
 from maicas.cli import main
 from maicas.geometry import DeviceGeometry
-from maicas.readout import S11Sweep, add_noise, s11_spectrum
+from maicas.readout import add_noise, s11_spectrum
 from maicas.scenarios import MODES, default_config
 from maicas.sweepio import write_sweep
 from maicas.telemetry import encode_frame, read_log, split_dump, start_server
@@ -218,10 +218,14 @@ class TestInputBoundaries:
     def test_nan_magnitude_in_sweep(self, capsys, tmp_path, rest_circuit,
                                     reader, name):
         sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
-        mags = sweep.magnitude_db.copy()
-        mags[int(np.argmin(mags)) + 1] = np.nan
+        mags = sweep.magnitude_db
         path = tmp_path / name
-        write_sweep(S11Sweep(1.5e9, 2.0e9, 201, mags), path)
+        # the writers refuse a NaN sample, so the file is edited after
+        write_sweep(sweep, path)
+        text = path.read_text()
+        path.write_text(text.replace(
+            repr(float(mags[int(np.argmin(mags)) + 1])), "nan", 1))
+        assert path.read_text().count("nan") == 1
         assert_one_error_line(capsys, "extract", str(path))
 
     @staticmethod

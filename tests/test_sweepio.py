@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from maicas.calibration import parse_points
 from maicas.errors import DomainError
+from maicas.jsonio import float_columns
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
 from maicas.sweepio import (CSV_HEADER, TOUCHSTONE_OPTION_LINE, read_csv,
                             read_sweep, read_touchstone, write_csv,
@@ -110,6 +111,50 @@ class TestCsv:
             read_csv(path)
 
 
+class TestUnreadableRefused:
+    """A sweep read_sweep would refuse is never written: the writer names
+    the file and the first bad row before it opens the file."""
+
+    @pytest.mark.parametrize("name", ["a.s1p", "a.csv", "a.S1P"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_magnitude(self, noisy_sweep, tmp_path, name, bad):
+        mags = noisy_sweep.magnitude_db.copy()
+        mags[[6, 9]] = bad
+        sweep = S11Sweep(noisy_sweep.f_start, noisy_sweep.f_stop,
+                         noisy_sweep.n_points, mags)
+        path = tmp_path / name
+        with pytest.raises(DomainError) as excinfo:
+            write_sweep(sweep, path)
+        assert str(excinfo.value) == (
+            f"cannot write {path}: non-finite value in data row 7")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", [write_touchstone, write_csv])
+    def test_non_finite_frequency(self, tmp_path, writer):
+        sweep = S11Sweep(float("nan"), 2.0e9, 3, np.zeros(3))
+        with pytest.raises(DomainError, match="non-finite value in data row 1"):
+            writer(sweep, tmp_path / "a.dat")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name,reference", [
+        ("a.s1p", oracles.reference_touchstone_text),
+        ("a.csv", oracles.reference_csv_text)])
+    def test_grid_below_float_spacing(self, tmp_path, name, reference):
+        """Three points over one float step repeat a frequency: the file
+        the per-row writer made is one read_sweep refuses."""
+        sweep = S11Sweep(1.0, 1.0000000000000002, 3, np.zeros(3))
+        message = "frequency column is not a uniform ascending grid"
+        path = tmp_path / name
+        path.write_text(reference(sweep))
+        with pytest.raises(DomainError, match=message):
+            read_sweep(path)
+        path.unlink()
+        with pytest.raises(DomainError) as excinfo:
+            write_sweep(sweep, path)
+        assert str(excinfo.value) == f"cannot write {path}: {message}"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSuffixDispatch:
     @pytest.mark.parametrize("name", ["a.s1p", "a.csv", "a.S1P", "a.CSV"])
     def test_round_trip_by_suffix(self, noisy_sweep, tmp_path, name):
@@ -141,6 +186,8 @@ def valid_sweeps(draw):
     f_stop = draw(st.floats(min_value=f_start, max_value=1.7e308,
                             exclude_min=True))
     mags = draw(st.lists(_MAGNITUDES, min_size=2, max_size=40))
+    # a first step below the float spacing is refused: TestUnreadableRefused
+    assume(np.linspace(f_start, f_stop, len(mags))[1] > f_start)
     return S11Sweep(f_start, f_stop, len(mags), np.array(mags))
 
 
@@ -212,3 +259,54 @@ class TestErrorPrecedence:
         with pytest.raises(DomainError) as excinfo:
             parse_points(body, "pts.csv")
         assert str(excinfo.value) == f"pts.csv: {message}"
+
+
+def _outcome(reader, lines, **kwargs) -> str:
+    """The columns' repr (so NaN equals NaN and -0.0 differs from 0.0), or
+    the error message."""
+    try:
+        return repr(reader(lines, "src", **kwargs))
+    except DomainError as exc:
+        return str(exc)
+
+
+_FIELDS = st.sampled_from(["1.5", "-2", "1e9", "-0.0", "nan", "-inf", "7_0",
+                           " 3 ", "abc", "", "#", "0x1"])
+
+
+@st.composite
+def numeric_files(draw):
+    """Lines for float_columns with its settings: a run of good rows long
+    enough to cross whole blocks, with a few arbitrary rows mixed in."""
+    sep, widths = draw(st.sampled_from([(",", (2,)), (None, (2, 3))]))
+    joiner = sep or draw(st.sampled_from([" ", "\t", "  "]))
+    lines = [joiner.join([f"{i}.25", f"-{i}", "0.0"][:widths[-1]])
+             for i in range(draw(st.integers(0, 700)))]
+    for _ in range(draw(st.integers(0, 4))):
+        row = joiner.join(draw(st.lists(_FIELDS, max_size=4)))
+        lines.insert(draw(st.integers(0, len(lines))), row)
+    header = draw(st.sampled_from([None, "x,y"]))
+    if header is not None:
+        lines.insert(0, draw(st.sampled_from(["x,y", "x, y", "y,x"])))
+    return lines, {"header": header, "sep": sep, "widths": widths}
+
+
+class TestFloatColumns:
+    """float_columns gives the columns, or the error message, of the reader
+    that converted one row at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=numeric_files())
+    def test_matches_per_row_reader(self, case):
+        lines, kwargs = case
+        assert (_outcome(float_columns, lines, **kwargs)
+                == _outcome(oracles.reference_float_columns, lines, **kwargs))
+
+    @pytest.mark.parametrize("bad", [0, 255, 256, 257, 511, 512, 600])
+    def test_first_bad_row_in_any_block(self, bad):
+        lines = [f"{i},{-i}" for i in range(700)]
+        lines[bad] = "oops"
+        lines[bad + 40] = "1,x"
+        with pytest.raises(DomainError) as excinfo:
+            float_columns(lines, "src", sep=",")
+        assert str(excinfo.value) == "src: malformed data row 'oops'"
