@@ -208,12 +208,6 @@ class TestWrittenBytes:
         write_csv(sweep, path)
         assert path.read_bytes() == oracles.reference_csv_text(sweep).encode()
 
-    def test_stock_sweep_bytes(self, noisy_sweep, tmp_path):
-        for name, reference in (("a.s1p", oracles.reference_touchstone_text),
-                                ("a.csv", oracles.reference_csv_text)):
-            write_sweep(noisy_sweep, tmp_path / name)
-            assert (tmp_path / name).read_text() == reference(noisy_sweep)
-
 
 class TestErrorPrecedence:
     """Which error a file with several faults reports, word for word."""
@@ -280,7 +274,7 @@ def numeric_files(draw):
     enough to cross whole blocks, with a few arbitrary rows mixed in."""
     sep, widths = draw(st.sampled_from([(",", (2,)), (None, (2, 3))]))
     joiner = sep or draw(st.sampled_from([" ", "\t", "  "]))
-    lines = [joiner.join([f"{i}.25", f"-{i}", "0.0"][:widths[-1]])
+    lines = [joiner.join([f"{i}.25", f"-{i}", "0.0"][:widths[i % len(widths)]])
              for i in range(draw(st.integers(0, 700)))]
     for _ in range(draw(st.integers(0, 4))):
         row = joiner.join(draw(st.lists(_FIELDS, max_size=4)))

@@ -1,10 +1,10 @@
 """Paired runs of bench/run.py on a parent commit and a change, as JSON.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workloads sweep_files \
-        --pairs 10 --out BENCH_10.json
+        --pairs 10 --out BENCH_n.json
 
 The parent is a `git archive` of --parent in a temporary directory; the
-change is the working tree of this checkout (or --change DIR). Each pair
+change is the working tree of this checkout. Each pair
 runs `bench/run.py --workload W --seed S --seconds T --trace 0` once in
 each tree, the parent first in even pairs and the change first in odd ones.
 With --traced-pairs K, K more pairs run with --trace 1 for the per-layer
@@ -84,8 +84,6 @@ def compare(parent: list[dict], change: list[dict], specs: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision")
-    parser.add_argument("--change", type=Path, default=ROOT,
-                        help="checkout to compare (default: this one)")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pairs", type=int, default=0)
@@ -97,8 +95,7 @@ def main(argv=None) -> int:
     specs = {m["name"]: m for m in config["end_to_end"] + config["per_layer"]}
     parent_sha = git("rev-parse", args.parent).decode().strip()
     doc = {"parent": parent_sha,
-           "change": {"tree": str(args.change),
-                      "head": git("rev-parse", "HEAD").decode().strip(),
+           "change": {"head": git("rev-parse", "HEAD").decode().strip(),
                       "uncommitted": bool(git("status", "--porcelain",
                                               "--untracked-files=no"))},
            "command": ("bench/run.py --workload W --seed {seed} --seconds "
@@ -110,7 +107,7 @@ def main(argv=None) -> int:
         parent_tree = Path(work)
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_sha))) as tar:
             tar.extractall(parent_tree)
-        trees = {"parent": parent_tree, "change": args.change}
+        trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workloads:
             entry = doc["workloads"][workload] = {}
             for trace, pairs in ((0, args.pairs), (1, args.traced_pairs)):
