@@ -26,7 +26,7 @@ from .geometry import (DeviceGeometry, IdeGeometry, JointBend, LoopGeometry,
 from .readout import (ReaderCouple, S11Sweep, add_noise, fit_reader,
                       input_impedance, s11_spectrum)
 from .scenarios import (ExperimentConfig, ExperimentResult, PointResult,
-                        default_config, fit_scenario_coupling, media_shift,
+                        default_config, fit_scenario_coupling,
                         run_experiment)
 from .telemetry import (MeasurandRecord, TelemetryFrame, decode_frame,
                         encode_frame, gateway, read_log, start_server)

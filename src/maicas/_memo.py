@@ -1,8 +1,17 @@
-"""Bounded per-process memo for the seed-independent calibration fits.
+"""Bounded per-process memo for the seed-independent parts of a campaign.
 
 calibrate_baseline, fit_reader and fit_scenario_coupling are deterministic
 functions of frozen dataclasses and numbers, and a campaign calls them with
 the same device again and again. Each keeps its last results here.
+
+scenarios.campaign_plan keeps a whole campaign's noiseless plan: the
+calibration, reader and coupling plus one clean sweep per grid point, that
+is len(measurand_grid) * n_points float64 values (80 kB for a stock
+five-point, 2001-point campaign). It pays off when one process runs
+campaigns that differ only in seed, repeats, noise_sigma_db or
+min_depth_db, such as a seed or noise sweep; a single simulate run gains
+nothing. At most MEMO_SIZE plans are kept, so their memory is bounded by
+MEMO_SIZE times the largest plan.
 
 Keys are the repr of the arguments, not the arguments themselves: values
 that compare equal but differ (8 and 8.0, 0.0 and -0.0, also nested inside

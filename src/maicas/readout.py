@@ -15,7 +15,8 @@ import numpy as np
 
 from ._memo import memo
 from .circuit import TARGET_DEPTH_DB, LumpedCircuit
-from .errors import CalibrationFailed, DomainError, require_positive
+from .errors import (CalibrationFailed, DegenerateInput, DomainError,
+                     require_positive)
 
 PORT_IMPEDANCE_OHM = 50.0
 READER_REACTANCE_RATIO = 0.1  # fit_reader's reactance fraction
@@ -40,8 +41,8 @@ class ReaderCouple:
 
 
 def _check_grid(f_start: float, f_stop: float, n_points: int) -> None:
-    """DomainError unless 0 < f_start < f_stop and n_points >= 2."""
-    if f_start <= 0 or f_stop <= f_start:
+    """DomainError unless 0 < f_start < f_stop < inf and n_points >= 2."""
+    if not 0 < f_start < f_stop < math.inf:
         raise DomainError(
             f"need 0 < f_start < f_stop, got [{f_start}, {f_stop}]")
     if n_points < 2:
@@ -116,14 +117,19 @@ def s11_spectrum(circuit: LumpedCircuit, reader: ReaderCouple,
 def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
     """Additive Gaussian measurement noise, clamped to keep the sweep
     passive. sigma_db = 0 returns the input unchanged; a sigma_db that is
-    not finite and >= 0 is a DomainError. The seed is any seed numpy's PCG64
-    takes: an int, a sequence of ints or a SeedSequence."""
+    not finite and >= 0 is a DomainError, and a noisy sweep that is not
+    finite (noise beyond the float range) is DegenerateInput. The seed is
+    any seed numpy's PCG64 takes: an int, a sequence of ints or a
+    SeedSequence."""
     if not 0 <= sigma_db < math.inf:
         raise DomainError(f"sigma_db must be finite and >= 0, got {sigma_db}")
     if sigma_db == 0.0:
         return sweep
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = sweep.magnitude_db + rng.normal(0.0, sigma_db, sweep.n_points)
+    if not np.isfinite(noisy).all():
+        raise DegenerateInput(
+            f"sweep with noise of sigma_db {sigma_db!r} is not finite")
     return S11Sweep(sweep.f_start, sweep.f_stop, sweep.n_points,
                     np.minimum(noisy, 0.0))
 

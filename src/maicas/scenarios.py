@@ -363,10 +363,22 @@ class ExperimentResult:
         return written
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute one campaign. Fully deterministic for a fixed config: repeat
-    noise comes from derive_seed(seed, grid_index, repeat_index) and the
-    summary CSV is byte-identical across runs."""
+# run_experiment's fixed values for the config fields the plan does not read
+_NOISE_FREE = {"seed": 0, "repeats": 1, "noise_sigma_db": 0.0,
+               "min_depth_db": MIN_DEPTH_DB}
+
+
+@memo
+def campaign_plan(config: ExperimentConfig) -> tuple[
+        ModelCalibration, ReaderCouple, float, tuple[S11Sweep, ...]]:
+    """The noiseless part of a campaign: the baseline calibration, the
+    reader, the coupling and one clean sweep per grid point.
+
+    None of it depends on seed, repeats, noise_sigma_db or min_depth_db, so
+    run_experiment passes the config with those four set to fixed values
+    and a seed or noise sweep in one process computes each plan once (see
+    maicas._memo). Every other field stays in the key.
+    """
     cal = config.calibration
     if cal is None:
         cal = calibrate_baseline(config.device, config.target_f0,
@@ -374,14 +386,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rest = lumped_from_geometry(config.device, Rest(), cal)
     reader = fit_reader(rest, config.target_depth_db)
     coupling = resolve_coupling(config, cal)
+    state_at = MODE_SPECS[config.mode].state
+    clean = tuple(
+        s11_spectrum(lumped_from_geometry(*state_at(config, coupling, x), cal),
+                     reader, config.f_start, config.f_stop, config.n_points)
+        for x in config.measurand_grid)
+    return cal, reader, coupling, clean
 
-    spec = MODE_SPECS[config.mode]
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Execute one campaign. Fully deterministic for a fixed config: repeat
+    noise comes from derive_seed(seed, grid_index, repeat_index) and the
+    summary CSV is byte-identical across runs."""
+    cal, reader, coupling, cleans = campaign_plan(
+        replace(config, **_NOISE_FREE))
     points = []
     failures = 0
-    for gi, x in enumerate(config.measurand_grid):
-        circuit = lumped_from_geometry(*spec.state(config, coupling, x), cal)
-        clean = s11_spectrum(circuit, reader, config.f_start, config.f_stop,
-                             config.n_points)
+    for gi, (x, clean) in enumerate(zip(config.measurand_grid, cleans)):
         sweeps = []
         estimates: list[ResonanceEstimate | None] = []
         for ri in range(config.repeats):
@@ -418,7 +439,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ))
 
     fit_points = [(p.measurand, p.mean_f0) for p in points if p.n_ok > 0]
-    summary = fit_linear(fit_points, spec.unit)
+    summary = fit_linear(fit_points, MODE_SPECS[config.mode].unit)
     return ExperimentResult(
         config=config,
         calibration=cal,
@@ -429,11 +450,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         failure_count=failures,
     )
 
-
-def media_shift(device: DeviceGeometry, cal: ModelCalibration,
-                medium_rel_permittivity: float) -> float:
-    """Rest-state resonance with the surrounding medium swapped. Monotone
-    decreasing in the permittivity; the calibration medium is a fixed
-    point."""
-    return lumped_from_geometry(_in_medium(device, medium_rel_permittivity),
-                                Rest(), cal).f0

@@ -64,6 +64,7 @@ MAX_SERVE_INTERVAL_S = 86400.0  # longest pause start_server takes: one day
 MAX_STREAM_POINTS = 1 << 24
 
 LOG_SCHEMA = "maicas-log/1"
+_SCHEMA_LINE = (json.dumps({"schema": LOG_SCHEMA}) + "\n").encode()
 
 
 def _checked_port(port: int, source: str) -> int:
@@ -307,9 +308,39 @@ class GatewayStats:
     reconnects: int
 
 
-def _drop_torn_tail(path: Path) -> int:
-    """Cut a partial last line, left by a writer that stopped mid-record,
-    back to the last newline. Returns the size kept (0 for a missing file)."""
+def _is_schema(head) -> bool:
+    """Whether a log's parsed first line names this module's schema."""
+    return isinstance(head, dict) and head.get("schema") == LOG_SCHEMA
+
+
+def _entries(data: bytes) -> list | None:
+    """The JSON values read_log parses from the lines of data, or None
+    where it would refuse one of them."""
+    try:
+        return [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
+def _check_head(path: Path, head: bytes) -> None:
+    """DomainError naming path and head unless head, the first line of a
+    non-empty log, is a schema line read_log accepts or a torn start of the
+    one _LogWriter writes."""
+    if not head.endswith(b"\n") and _SCHEMA_LINE.startswith(head):
+        return
+    entries = _entries(head)
+    if not (entries and _is_schema(entries[0])):
+        raise DomainError(f"{path}: not a {LOG_SCHEMA} log, its first line "
+                          f"is {head[:80]!r}; nothing appended")
+
+
+def _prepare_append(path: Path) -> int:
+    """Check the head of an existing log, then make it end in a newline.
+    A last line that read_log parses only lacks its newline, which is
+    added; any other partial last line, left by a writer that stopped
+    mid-record, is cut back to the last newline. Returns the size of the
+    file afterwards (0 for a missing file). A head _check_head refuses
+    raises before anything is changed."""
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
@@ -318,19 +349,27 @@ def _drop_torn_tail(path: Path) -> int:
         size = fh.seek(0, os.SEEK_END)
         if size == 0:
             return 0
+        fh.seek(0)
+        _check_head(path, fh.readline())
         fh.seek(size - 1)
         if fh.read(1) == b"\n":
             return size
         fh.seek(0)
-        kept = fh.read().rfind(b"\n") + 1
+        data = fh.read()
+        kept = data.rfind(b"\n") + 1
+        if _entries(data[kept:]) is not None:
+            fh.write(b"\n")
+            return size + 1
         fh.truncate(kept)
         return kept
 
 
 class _LogWriter:
     """Append-only NDJSON log. The first line of a fresh file names the
-    schema. A torn last line is dropped before the first append, so each
-    record starts on its own line.
+    schema. An existing file whose first line read_log would refuse is a
+    DomainError, and the file is left as it was. A torn last line is
+    dropped before the first append (see _prepare_append), so each record
+    starts on its own line.
 
     A record line is what json.dumps writes for the record's fields, error
     only when set. The string fields after the numbers (unit, calibration
@@ -339,11 +378,11 @@ class _LogWriter:
 
     def __init__(self, path):
         self.path = Path(path)
-        fresh = _drop_torn_tail(self.path) == 0
+        fresh = _prepare_append(self.path) == 0
         self._fh = open(self.path, "a", encoding="utf-8")
         self._tails: dict[tuple, str] = {}
         if fresh:
-            self._write(json.dumps({"schema": LOG_SCHEMA}) + "\n")
+            self._write(_SCHEMA_LINE.decode())
 
     def _write(self, text: str) -> None:
         self._fh.write(text)
@@ -380,7 +419,7 @@ def read_log(path) -> list[dict]:
             raise DomainError(
                 f"{path}: line {number} is not JSON ({exc.msg})") from None
     head = entries[0]
-    if not isinstance(head, dict) or head.get("schema") != LOG_SCHEMA:
+    if not _is_schema(head):
         raise DomainError(f"{path}: unknown log schema {head!r}")
     return entries[1:]
 

@@ -278,6 +278,8 @@ class TestInputBoundaries:
         ("epicardial_strain", ("f_start",), 5e-324, "DegenerateInput"),
         ("graft_pressure", ("calibration", "ide_finger_length"), 1e308,
          "DomainError"),
+        ("epicardial_strain", ("noise_sigma_db",), 8.98846567431158e307,
+         "DegenerateInput"),
     ], ids=lambda v: ("/".join(v) if isinstance(v, tuple)
                       else "10**400" if v == 10 ** 400 else None))
     def test_extreme_config_value(self, capsys, tmp_path, baseline_cal,
@@ -684,6 +686,33 @@ class TestReplayAndGateway:
         for i, record in enumerate(records):
             assert record["measurand_value"] == pytest.approx(
                 grid[i // 2], abs=tolerance)
+
+    @pytest.mark.parametrize("command", ["gateway", "replay"])
+    @pytest.mark.parametrize("head", [
+        b"hello\n", b'{"schema": "maicas-log/9"}\n', b"[1,2]\n"])
+    def test_foreign_log_is_left_alone(self, capsys, tmp_path, rest_circuit,
+                                       reader, command, head):
+        """A log read_log would refuse is one JSON error line, and not a
+        byte of it changes."""
+        model = tmp_path / "model.json"
+        model.write_text(fit_linear([(50.0, 1.676e9), (200.0, 1.741e9)],
+                                    "mmHg").to_json())
+        dump = tmp_path / "frames.bin"
+        dump.write_bytes(encode_frame(1, 0, s11_spectrum(
+            rest_circuit, reader, 1.5e9, 2.0e9, 201)))
+        log = tmp_path / "log.ndjson"
+        content = head + b'{"device_id": 7}\n{"torn'
+        log.write_bytes(content)
+        with socket.socket() as refuser:  # bound, never listening
+            refuser.bind(("127.0.0.1", 0))
+            argv = {
+                "gateway": ["gateway", "--no-reconnect", "--port",
+                            str(refuser.getsockname()[1])],
+                "replay": ["replay", "--frames", str(dump)],
+            }[command]
+            assert_one_error_line(capsys, *argv, "--model", str(model),
+                                  "--log", str(log))
+        assert log.read_bytes() == content
 
     @pytest.mark.parametrize("slope", [1e-310, 0.0])
     def test_replay_with_a_degenerate_model(self, capsys, tmp_path, campaign,

@@ -2,17 +2,22 @@
 
 import sys
 import threading
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maicas import scenarios
 from maicas._memo import MEMO_SIZE, memo
 from maicas.circuit import LumpedCircuit, calibrate_baseline
-from maicas.errors import CalibrationFailed, DomainError, MaicasError
+from maicas.errors import (CalibrationFailed, DomainError, MaicasError,
+                           OutOfModelRange)
 from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
                              SubstrateStack)
 from maicas.readout import fit_reader
-from maicas.scenarios import fit_scenario_coupling
+from maicas.scenarios import (MODES, default_config, fit_scenario_coupling,
+                              run_experiment)
 
 devices = st.builds(
     DeviceGeometry,
@@ -185,3 +190,100 @@ def test_concurrent_callers_each_get_their_own_value():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def campaign_bytes(config):
+    """What a campaign writes: summary.csv, model.json and the bytes of
+    every noisy sweep; or the type and message of its MaicasError."""
+    try:
+        result = run_experiment(config)
+    except MaicasError as exc:
+        return type(exc), str(exc)
+    sweeps = [(s.f_start, s.f_stop, s.n_points, s.magnitude_db.tobytes())
+              for point in result.points for s in point.sweeps]
+    return (result.to_summary_csv(), result.summary.to_json(),
+            result.coupling, sweeps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 64 - 1),
+       repeats=st.integers(1, 3),
+       sigma=st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 2.0),
+       n_points=st.integers(5, 401),
+       min_depth=st.sampled_from([3.0, 0.5, 12.0]))
+def test_run_experiment_matches_the_plain_plan(mode, seed, repeats, sigma,
+                                               n_points, min_depth):
+    config = default_config(mode, seed=seed, repeats=repeats,
+                            noise_sigma_db=sigma, n_points=n_points,
+                            min_depth_db=min_depth)
+    kept = campaign_bytes(config)
+    with mock.patch.object(scenarios, "campaign_plan",
+                           scenarios.campaign_plan.__wrapped__):
+        plain = campaign_bytes(config)
+    assert kept == plain
+    assert campaign_bytes(config) == kept
+
+
+@pytest.fixture()
+def spectra(monkeypatch):
+    """The clean spectra campaigns compute from now on, one list entry
+    each."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = scenarios.s11_spectrum
+    monkeypatch.setattr(scenarios, "s11_spectrum", counting)
+    return calls
+
+
+# an f_start no other test uses, so each test below starts with no plan
+def fresh_config(offset, **fields):
+    return default_config("epicardial_strain", n_points=201,
+                          f_start=1.5e9 + offset, **fields)
+
+
+def test_noise_side_fields_share_one_plan(spectra):
+    config = fresh_config(101.0)
+    run_experiment(config)
+    assert len(spectra) == len(config.measurand_grid)
+    for fields in ({"seed": 7}, {"repeats": 2}, {"noise_sigma_db": 0.0},
+                   {"noise_sigma_db": 0.5}, {"min_depth_db": 1.5},
+                   {"seed": 3, "repeats": 1, "noise_sigma_db": 0.2,
+                    "min_depth_db": 4.0}):
+        run_experiment(replace(config, **fields))
+    assert len(spectra) == len(config.measurand_grid)
+
+
+@pytest.mark.parametrize("fields", [
+    {"device": DeviceGeometry(rest_length=12_000.0)},
+    {"measurand_grid": (0.0, 5.0, 10.0)},
+    {"measurand_grid": (-0.0, 5.0, 10.0, 15.0, 20.0)},
+    {"f_start": 1.5e9 + 203.0},
+    {"strain_scale": 0.5},
+    {"n_points": 203},
+], ids=["device", "grid", "signed-zero-grid", "f_start", "coupling",
+        "n_points"])
+def test_other_fields_get_their_own_plan(spectra, fields):
+    config = fresh_config(202.0)
+    assert config.measurand_grid[0] == 0.0
+    run_experiment(config)
+    before = len(spectra)
+    changed = replace(config, **fields)
+    run_experiment(changed)
+    assert len(spectra) == before + len(changed.measurand_grid)
+    run_experiment(replace(changed, seed=5))
+    assert len(spectra) == before + len(changed.measurand_grid)
+
+
+def test_a_failing_plan_raises_on_every_call(spectra):
+    """The third grid point leaves the strain validity window after two
+    spectra; each call computes them again and raises again."""
+    config = fresh_config(303.0, measurand_grid=(0.0, 5.0, 1000.0),
+                          strain_scale=1.0)
+    for calls in (1, 2, 3):
+        with pytest.raises(OutOfModelRange):
+            run_experiment(replace(config, seed=calls))
+        assert len(spectra) == 2 * calls

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maicas.circuit import LumpedCircuit
-from maicas.errors import CalibrationFailed, DomainError
+from maicas.errors import CalibrationFailed, DegenerateInput, DomainError
 from maicas.readout import (ReaderCouple, S11Sweep, add_noise, dip_of,
                             fit_reader, input_impedance, s11_spectrum)
 
@@ -108,6 +108,20 @@ class TestS11SweepContainer:
         with pytest.raises(DomainError):
             S11Sweep(f_start, f_stop, n, mags)
 
+    @pytest.mark.parametrize("f_start,f_stop", [
+        (math.nan, 2.0e9), (1.0, math.inf), (1.0, math.nan),
+        (math.inf, math.inf), (-math.inf, 2.0e9)])
+    def test_rejects_non_finite_grid_ends(self, rest_circuit, reader,
+                                          f_start, f_stop):
+        """Both S11Sweep and s11_spectrum go through the one grid check."""
+        message = f"need 0 < f_start < f_stop, got [{f_start}, {f_stop}]"
+        with pytest.raises(DomainError) as excinfo:
+            S11Sweep(f_start, f_stop, 3, np.zeros(3))
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            s11_spectrum(rest_circuit, reader, f_start, f_stop, 3)
+        assert str(excinfo.value) == message
+
 
 class TestAddNoise:
     def test_zero_sigma_is_identity(self, rest_circuit, reader):
@@ -144,6 +158,20 @@ class TestAddNoise:
         sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 11)
         with pytest.raises(DomainError, match="finite"):
             add_noise(sweep, sigma, 0)
+
+    @pytest.mark.parametrize("sigma", [8.98846567431158e307, 1.7e308])
+    def test_overflowing_noise_is_degenerate(self, rest_circuit, reader,
+                                             sigma):
+        """A finite sigma whose draws leave the float range gives no sweep
+        at all, not one with infinite samples."""
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        with pytest.raises(DegenerateInput, match="is not finite"):
+            add_noise(sweep, sigma, 0)
+
+    def test_huge_finite_noise_still_passes(self, rest_circuit, reader):
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
+        noisy = add_noise(sweep, 1e300, 0)
+        assert np.isfinite(noisy.magnitude_db).all()
 
 
 class TestFitReader:

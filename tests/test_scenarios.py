@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from maicas.circuit import ModelCalibration
+from maicas.circuit import ModelCalibration, lumped_from_geometry
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError)
 from maicas.geometry import DeviceGeometry
 from maicas.scenarios import (MODE_SPECS, ExperimentConfig, _brentq,
                               default_config, derive_seed,
-                              fit_scenario_coupling, media_shift,
-                              run_experiment)
+                              fit_scenario_coupling, run_experiment)
 from maicas.sweepio import read_touchstone
 
 
@@ -332,19 +331,27 @@ class TestRunExperiment:
         assert result.summary.measurand_unit == "rel-permittivity"
 
 
+def media_f0(device, cal, rel_permittivity):
+    """Resonance of the media_stability mode's state at one medium."""
+    config = default_config("media_stability", device=device,
+                            calibration=cal)
+    state = MODE_SPECS["media_stability"].state(config, 0.0, rel_permittivity)
+    return lumped_from_geometry(*state, cal).f0
+
+
 class TestMediaShift:
     def test_calibration_medium_is_fixed_point(self, device, baseline_cal,
                                                rest_circuit):
-        same = media_shift(device, baseline_cal,
-                           device.stack.medium_rel_permittivity)
+        same = media_f0(device, baseline_cal,
+                        device.stack.medium_rel_permittivity)
         assert same == rest_circuit.f0
 
     def test_monotone_decreasing_in_permittivity(self, device, baseline_cal):
-        f0s = [media_shift(device, baseline_cal, e)
+        f0s = [media_f0(device, baseline_cal, e)
                for e in (1.0, 10.0, 40.0, 80.0)]
         assert all(b < a for a, b in zip(f0s, f0s[1:]))
 
     def test_saline_shift_is_resolvable(self, device, baseline_cal):
-        shift = (media_shift(device, baseline_cal, 1.0)
-                 - media_shift(device, baseline_cal, 80.0))
+        shift = (media_f0(device, baseline_cal, 1.0)
+                 - media_f0(device, baseline_cal, 80.0))
         assert shift > 1e6   # far above the noise floor of the extractor

@@ -436,6 +436,18 @@ class TestLog:
         process_frames(then, pressure_model, clean)
         assert log.read_bytes() == clean.read_bytes()
 
+    def test_a_last_line_missing_only_its_newline_is_kept(
+            self, sweep_pool, pressure_model, tmp_path):
+        log = tmp_path / "telemetry.ndjson"
+        process_frames(frames_from_sweeps(sweep_pool[:2]), pressure_model, log)
+        whole = log.read_bytes()
+        log.write_bytes(whole[:-1])
+        assert len(read_log(log)) == 2
+        process_frames(frames_from_sweeps(sweep_pool[2:3]), pressure_model,
+                       log)
+        assert log.read_bytes().startswith(whole)
+        assert len(read_log(log)) == 3
+
     def test_torn_schema_line_is_rewritten(self, sweep_pool, pressure_model,
                                            tmp_path):
         log = tmp_path / "telemetry.ndjson"
@@ -511,6 +523,108 @@ class TestRecordLines:
         lines = [json.dumps({"schema": LOG_SCHEMA})]
         lines += [oracles.reference_record_to_json(r) for r in batch]
         assert written == ("\n".join(lines) + "\n").encode()
+
+
+def _log_text(records) -> bytes:
+    return "".join(oracles.reference_record_to_json(r) + "\n"
+                   for r in records).encode()
+
+
+_SCHEMA_BYTES = (json.dumps({"schema": LOG_SCHEMA}) + "\n").encode()
+_RECORD_LINES = st.lists(_RECORDS, max_size=3).map(_log_text)
+
+
+@st.composite
+def _torn_line(draw, line: bytes) -> bytes:
+    """A proper prefix of line without its newline, as a writer that
+    stopped mid-record leaves it."""
+    return line[:draw(st.integers(0, len(line) - 2))]
+
+
+# The bytes a log file may hold when a writer opens it.
+_EXISTING = st.one_of(
+    st.just(b""),
+    _RECORD_LINES.map(lambda lines: _SCHEMA_BYTES + lines),
+    st.tuples(_RECORD_LINES, _RECORDS.map(lambda r: _log_text([r])).flatmap(
+        _torn_line)).map(lambda t: _SCHEMA_BYTES + t[0] + t[1]),
+    _torn_line(_SCHEMA_BYTES),
+    _RECORD_LINES.map(lambda lines: (_SCHEMA_BYTES + lines)[:-1]),
+    st.tuples(st.sampled_from([b'{"schema": "maicas-log/9"}', b"[1,2]",
+                               b'{"schema": 1}', b'"maicas-log/1"',
+                               b"hello", b"", b"{", b"hello\r",
+                               b"\xff", b'{"schema": "\xe9"}',
+                               b'{"schema": "maicas-log/1"}\xff',
+                               b'{"schema": "maicas-log/1"}\r{}']),
+              st.booleans(), _RECORD_LINES).map(
+        lambda t: t[0] + b"\n" * t[1] + t[2]),
+    st.binary(max_size=40),
+)
+
+
+def _records(data: bytes):
+    """read_log of a file holding data, or None when it refuses the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.ndjson"
+        path.write_bytes(data)
+        try:
+            return read_log(path)
+        except DomainError:
+            return None
+
+
+class TestLogHead:
+    """The writer refuses a log its reader refuses, and leaves it as it
+    was; into any other log it appends."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(existing=_EXISTING, batch=st.lists(_RECORDS, min_size=1,
+                                              max_size=3))
+    def test_refuse_unchanged_or_append(self, existing, batch):
+        before = _records(existing) if existing else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.ndjson"
+            path.write_bytes(existing)
+            try:
+                writer = _LogWriter(path)
+            except DomainError as exc:
+                assert str(path) in str(exc)
+                assert path.read_bytes() == existing
+                assert before is None  # the reader refuses it too
+                return
+            for record in batch:
+                writer.append(record)
+            writer.close()
+            after = _records(path.read_bytes())
+        new = [json.loads(oracles.reference_record_to_json(r))
+               for r in batch]
+        if before is None:  # a torn last line is dropped
+            whole_lines = existing[:existing.rfind(b"\n") + 1]
+            before = _records(whole_lines) if whole_lines else []
+        if before is not None:
+            assert json.dumps(after) == json.dumps(before + new)
+
+    @pytest.mark.parametrize("content,head", [
+        (b'hello\n{"device_id": 1}\n{"torn', b"hello\n"),
+        (b"hello", b"hello"),
+        (b'{"schema": "maicas-log/9"}\n{"torn',
+         b'{"schema": "maicas-log/9"}\n'),
+        (b"[1,2]\n", b"[1,2]\n"),
+        (b"\xff\xfe\n{}\n", b"\xff\xfe\n"),
+        (b"x" * 100, b"x" * 80)])
+    def test_foreign_head_is_refused(self, sweep_pool, pressure_model,
+                                     tmp_path, content, head):
+        """The message names the file and at most 80 bytes of its first
+        line; nothing is cut or appended."""
+        log = tmp_path / "telemetry.ndjson"
+        log.write_bytes(content)
+        with pytest.raises(DomainError) as excinfo:
+            process_frames(frames_from_sweeps(sweep_pool[:2]),
+                           pressure_model, log)
+        assert str(excinfo.value) == (
+            f"{log}: not a {LOG_SCHEMA} log, its first line is "
+            f"{head!r}; nothing appended")
+        assert log.read_bytes() == content
+
 
 
 def free_port() -> int:
