@@ -626,7 +626,6 @@ class TestLogHead:
         assert log.read_bytes() == content
 
 
-
 def free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
