@@ -5,20 +5,31 @@ smoothed trace with the lowest-frequency tie break, then a 3-point parabolic
 refinement on the raw samples around that index. Dip depth is measured
 against the median of the smoothed sweep.
 
-The medians (baseline and the noise MAD) are taken by partitioning a copy
-at fixed ranks. They are exact np.median equivalents: the middle value for
+The medians (baseline and the noise MAD) are taken by partitioning at
+fixed ranks. They are exact np.median equivalents: the middle value for
 odd lengths, the mean of the two middle values for even lengths, equal to
 np.median bit for bit. NaN propagates: a sweep holding a NaN gives a NaN
 median, as with np.median. The NaN scans behind that run only when the
-smoothed trace is not finite. A finite trace means finite samples, since
-every sample weighs into it. Passive finite samples lie between the most
-negative float and 1e-9, so the residual (sample minus trace) is finite
-too, and its deviations from their median can overflow to infinity but
-never turn NaN. So the scans could not find anything.
+smoothed trace is not finite, and one sample of it tells: the one at the
+argmin. argmin returns the first NaN when there is one; a passive
+S11Sweep holds no +inf, and finite samples at most 1e-9 cannot sum to
++inf, so the trace holds no +inf either. So the value at the argmin is
+finite exactly when every value of the trace is. A finite trace means
+finite samples, since every sample weighs into it. Passive finite samples
+lie between the most negative float and 1e-9, so the residual (sample
+minus trace) is finite too, and its deviations from their median can
+overflow to infinity but never turn NaN. So the scans could not find
+anything.
+
+The residual is formed only after the depth and endpoint tests. A -inf
+sample makes the trace -inf around it and the residual there -inf - -inf,
+which numpy warns about; a sweep whose dip is such a sample at the low end
+must end in GridTooCoarse before that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,19 +73,27 @@ def _median(values: np.ndarray, *, nan_free: bool = False) -> np.float64:
     overhead: the same bits for NaN-free input, NaN for input with a NaN.
     nan_free=True skips the NaN scan; the caller vouches for the input.
 
+    values is partitioned in place: its order is lost, its values stay.
+    A caller that still reads the array in order afterwards passes a copy.
+
     The middle values are summed onto 0.0, as np.mean sums them. That turns
     a -0.0 result into 0.0, so the result does not depend on which of two
     tied signed zeros a partition puts at the middle rank.
     """
     if not nan_free and np.isnan(values).any():
         return np.float64(np.nan)
-    part = values.copy()
-    k = part.size // 2
-    if part.size % 2:
-        part.partition(k)
-        return part[k] + 0.0
-    part.partition((k - 1, k))
-    return (part[k - 1] + part[k] + 0.0) / 2
+    k = values.size // 2
+    if values.size % 2:
+        values.partition(k)
+        return values[k] + 0.0
+    values.partition((k - 1, k))
+    return (values[k - 1] + values[k] + 0.0) / 2
+
+
+def _check_min_depth(min_depth_db: float) -> None:
+    """DomainError unless min_depth_db > 0; NaN fails too."""
+    if not min_depth_db > 0:
+        raise DomainError(f"min_depth_db must be > 0, got {min_depth_db}")
 
 
 def extract_resonance(sweep: S11Sweep,
@@ -88,13 +107,13 @@ def extract_resonance(sweep: S11Sweep,
     if sweep.n_points < SMOOTHING_WINDOW:
         raise DomainError(
             f"need at least {SMOOTHING_WINDOW} points, got {sweep.n_points}")
-    if min_depth_db <= 0:
-        raise DomainError(f"min_depth_db must be > 0, got {min_depth_db}")
+    _check_min_depth(min_depth_db)
     raw = sweep.magnitude_db
     smoothed = _smooth(raw)
-    nan_free = bool(np.isfinite(smoothed).all())
     i = int(smoothed.argmin())  # argmin takes the first (lowest) frequency
-    baseline = float(_median(smoothed, nan_free=nan_free))
+    nan_free = math.isfinite(smoothed[i])
+    # a copy: the residual below still reads smoothed in order
+    baseline = float(_median(smoothed.copy(), nan_free=nan_free))
     depth = baseline - float(smoothed[i])
     if depth < min_depth_db:
         raise NoResonance(
@@ -109,7 +128,8 @@ def extract_resonance(sweep: S11Sweep,
 
     residual = raw - smoothed
     centre = _median(residual, nan_free=nan_free)
-    mad = float(_median(np.abs(residual - centre), nan_free=nan_free))
+    residual -= centre
+    mad = float(_median(np.abs(residual, out=residual), nan_free=nan_free))
     sigma_hat = max(1.4826 * mad, 1e-12)
     return ResonanceEstimate(
         f0_hat=float(f0_hat),

@@ -126,12 +126,13 @@ def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
     if sigma_db == 0.0:
         return sweep
     rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = sweep.magnitude_db + rng.normal(0.0, sigma_db, sweep.n_points)
+    noisy = rng.normal(0.0, sigma_db, sweep.n_points)
+    noisy += sweep.magnitude_db  # IEEE addition commutes: the same bits
     if not np.isfinite(noisy).all():
         raise DegenerateInput(
             f"sweep with noise of sigma_db {sigma_db!r} is not finite")
     return S11Sweep(sweep.f_start, sweep.f_stop, sweep.n_points,
-                    np.minimum(noisy, 0.0))
+                    np.minimum(noisy, 0.0, out=noisy))
 
 
 def vertex_offset(y0: float, y1: float, y2: float) -> float | None:

@@ -22,13 +22,14 @@ from .calibration import CalibrationModel, fit_linear, line_fit
 from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, ModelCalibration,
                       calibrate_baseline, lumped_from_geometry)
 from .dsp import (MIN_DEPTH_DB, SMOOTHING_WINDOW, ResonanceEstimate,
-                  extract_resonance)
+                  _check_min_depth, extract_resonance)
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
 from .geometry import (MAX_ABS_STRAIN, DeviceGeometry, JointBend, Rest,
                        RolledDisplacement, RolledPressure, UniaxialStrain)
 from .jsonio import load_json
-from .readout import ReaderCouple, S11Sweep, add_noise, fit_reader, s11_spectrum
+from .readout import (ReaderCouple, S11Sweep, _check_grid, add_noise,
+                      fit_reader, s11_spectrum)
 from .sweepio import write_touchstone
 
 
@@ -136,11 +137,11 @@ class ExperimentConfig:
         if not 0 <= self.noise_sigma_db < math.inf:
             raise DomainError(f"noise_sigma_db must be finite and >= 0, "
                               f"got {self.noise_sigma_db}")
-        if self.f_start <= 0 or self.f_stop <= self.f_start:
-            raise DomainError("need 0 < f_start < f_stop")
         if self.n_points < SMOOTHING_WINDOW:
             raise DomainError(
                 f"n_points must be >= {SMOOTHING_WINDOW}, got {self.n_points}")
+        _check_grid(self.f_start, self.f_stop, self.n_points)
+        _check_min_depth(self.min_depth_db)
         if self.lumen_diameter <= 0:
             raise DomainError("lumen_diameter must be > 0")
 

@@ -126,7 +126,7 @@ def decode_frame(buf: bytes) -> TelemetryFrame:
             f"frame of {len(buf)} bytes is shorter than the minimum "
             f"{HEADER_SIZE + 4}")
     stored = _CRC.unpack_from(buf, len(buf) - 4)[0]
-    actual = zlib.crc32(buf[:-4])
+    actual = zlib.crc32(memoryview(buf)[:-4])
     if stored != actual:
         raise ChecksumMismatch(
             f"CRC stored {stored:#010x} != computed {actual:#010x}")

@@ -17,6 +17,9 @@ package made before it ported them to pure Python (scipy is a test
 dependency only): the elliptic integral through scipy.special and
 scipy.optimize.brentq itself.
 
+And reference_add_noise: the noise step as it was before it added the
+sweep onto its own draws in place, so tests can require the same bits.
+
 And reference_touchstone_text, reference_csv_text and
 reference_float_columns: the sweep file writers' and the numeric-row
 reader's per-row loops as they were before they worked on whole columns, so
@@ -226,6 +229,14 @@ def reference_extract_resonance(sweep,
         snr_estimate=depth / sigma_hat,
         refined=refined,
     )
+
+
+# --- reference noise step (out-of-place sum and clamp) -----------------------
+
+def reference_add_noise(clean: np.ndarray, sigma_db: float, seed) -> np.ndarray:
+    """The noisy magnitudes readout.add_noise gave for sigma_db > 0."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.minimum(clean + rng.normal(0.0, sigma_db, clean.size), 0.0)
 
 
 # --- reference log record encoder (dict + json.dumps) ------------------------

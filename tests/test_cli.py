@@ -228,6 +228,15 @@ class TestInputBoundaries:
         assert path.read_text().count("nan") == 1
         assert_one_error_line(capsys, "extract", str(path))
 
+    @pytest.mark.parametrize("threshold", ["nan", "0"])
+    def test_threshold_flag_outside_bounds(self, capsys, tmp_path,
+                                           rest_circuit, reader, threshold):
+        path = tmp_path / "sweep.s1p"
+        write_sweep(s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201),
+                    path)
+        assert_one_error_line(capsys, "extract", str(path),
+                              "--min-depth-db", threshold)
+
     @staticmethod
     def spoil_utf8(path: Path, keep: bytes) -> None:
         """Put a 0xff byte, which UTF-8 never uses, after the first keep."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,10 +122,13 @@ class TestRejection:
         with pytest.raises(DomainError):
             extract_resonance(S11Sweep(1.0e9, 2.0e9, 4, [-1, -5, -9, -2]))
 
-    def test_nonpositive_threshold(self):
+    # NaN compares false both ways: it must fail the check, not pass it
+    # and then switch the depth test off
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_nonpositive_threshold(self, threshold):
         sweep = S11Sweep(1.0e9, 2.0e9, 41, gaussian_dip(41, 20, 15.0))
-        with pytest.raises(DomainError):
-            extract_resonance(sweep, min_depth_db=0.0)
+        with pytest.raises(DomainError, match="min_depth_db must be > 0"):
+            extract_resonance(sweep, min_depth_db=threshold)
 
 
 def test_module_constants():
@@ -219,3 +224,40 @@ class TestShiftEquivariance:
             return
         assert a[1:] == b[1:]
         assert abs(float(b[0]) - (float(a[0]) + d)) <= tolerance
+
+
+class TestKernelEdges:
+    """What the in-place medians and the one-sample NaN test must keep."""
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_minus_inf_at_the_low_end_is_grid_too_coarse(self, index):
+        """The trace is -inf from sample 0 on, so the dip is on the
+        endpoint; the residual, -inf - -inf there, is never formed."""
+        mags = gaussian_dip(41, 20, 15.0)
+        mags[index] = -np.inf
+        sweep = S11Sweep(1.0e9, 2.0e9, 41, mags)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GridTooCoarse):
+                extract_resonance(sweep)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep=hostile_sweeps())
+    def test_sweep_magnitudes_are_left_alone(self, sweep):
+        before = sweep.magnitude_db.tobytes()
+        with np.errstate(all="ignore"):
+            outcome(extract_resonance, sweep)
+        assert sweep.magnitude_db.tobytes() == before
+        assert not sweep.magnitude_db.flags.writeable
+
+    @pytest.mark.parametrize("index", [0, 150, 399])
+    def test_one_nan_anywhere_is_seen(self, index):
+        """A NaN away from the dip still makes the NaN scans run: the
+        median is NaN and so is the SNR, as with np.median."""
+        mags = gaussian_dip(400, 200, 20.0)
+        mags[index] = np.nan
+        sweep = S11Sweep(1.0e9, 2.0e9, 400, mags)
+        with np.errstate(all="ignore"):
+            assert (outcome(extract_resonance, sweep)
+                    == outcome(oracles.reference_extract_resonance, sweep))
+

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
 from maicas.circuit import LumpedCircuit
 from maicas.errors import CalibrationFailed, DegenerateInput, DomainError
 from maicas.readout import (ReaderCouple, S11Sweep, add_noise, dip_of,
@@ -172,6 +175,24 @@ class TestAddNoise:
         sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 201)
         noisy = add_noise(sweep, 1e300, 0)
         assert np.isfinite(noisy.magnitude_db).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(clean=arrays(np.float64, st.integers(2, 300),
+                        elements=st.one_of(
+                            st.sampled_from([0.0, -0.0, -5e-324, -3.0]),
+                            st.floats(-80.0, 0.0))),
+           sigma=st.one_of(st.sampled_from([5e-324, 1e-300, 1e-17]),
+                           st.floats(1e-6, 20.0)),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_same_bits_as_the_reference(self, clean, sigma, seed):
+        """The in-place sum and clamp give the bytes of the out-of-place
+        ones, signed zeros included, and leave the clean sweep alone."""
+        sweep = S11Sweep(1.5e9, 2.0e9, clean.size, clean)
+        before = sweep.magnitude_db.tobytes()
+        noisy = add_noise(sweep, sigma, seed)
+        assert (noisy.magnitude_db.tobytes()
+                == oracles.reference_add_noise(clean, sigma, seed).tobytes())
+        assert sweep.magnitude_db.tobytes() == before
 
 
 class TestFitReader:

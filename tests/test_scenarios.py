@@ -62,6 +62,11 @@ class TestConfigValidation:
          "noise_sigma_db": math.inf},
         {"mode": "epicardial_strain", "measurand_grid": (0.0, 5.0),
          "noise_sigma_db": math.nan},
+        {"mode": "aging", "measurand_grid": (0.0, 16.0), "min_depth_db": -1.0},
+        {"mode": "aging", "measurand_grid": (0.0, 16.0),
+         "min_depth_db": math.nan},
+        {"mode": "aging", "measurand_grid": (0.0, 16.0), "f_start": math.nan},
+        {"mode": "aging", "measurand_grid": (0.0, 16.0), "f_stop": math.inf},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(DomainError):
