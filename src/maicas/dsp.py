@@ -65,7 +65,9 @@ def _smooth(mags: np.ndarray) -> np.ndarray:
     of at least SMOOTHING_WINDOW points."""
     padded = np.concatenate((mags[_HALF_WINDOW:0:-1], mags,
                              mags[-2:-_HALF_WINDOW - 2:-1]))
-    return np.convolve(padded, _KERNEL, mode="valid")
+    # the kernel is symmetric: correlating is convolving, without
+    # np.convolve's kernel reversal and argument checks
+    return np.correlate(padded, _KERNEL, mode="valid")
 
 
 def _median(values: np.ndarray, *, nan_free: bool = False) -> np.float64:

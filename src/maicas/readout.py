@@ -65,7 +65,8 @@ class S11Sweep:
         if mags.shape != (self.n_points,):
             raise DomainError(
                 f"magnitude_db length {mags.shape} does not match n_points {self.n_points}")
-        if (mags > 1e-9).any():
+        # fmax skips NaN: the largest other sample, with no boolean temporary
+        if np.fmax.reduce(mags) > 1e-9:
             raise DomainError("reflection magnitude above 0 dB is not passive")
         mags.setflags(write=False)
         object.__setattr__(self, "magnitude_db", mags)
