@@ -258,12 +258,11 @@ class TestKernelEdges:
 
     @pytest.mark.parametrize("index", [0, 150, 399])
     def test_one_nan_anywhere_is_seen(self, index):
-        """A NaN away from the dip still makes the NaN scans run: the
-        median is NaN and so is the SNR, as with np.median."""
+        """A NaN away from the dip must still switch the NaN scans on: the
+        outcome, NaN figures included, is the reference's."""
         mags = gaussian_dip(400, 200, 20.0)
         mags[index] = np.nan
         sweep = S11Sweep(1.0e9, 2.0e9, 400, mags)
         with np.errstate(all="ignore"):
             assert (outcome(extract_resonance, sweep)
                     == outcome(oracles.reference_extract_resonance, sweep))
-

@@ -54,7 +54,7 @@ def job_steps(text: str, job: str) -> list[dict]:
         if key == "name":
             steps[-1]["name"] = value
         elif key == "env":
-            for entry in block:
+            for entry in filter(str.strip, block):
                 k, _, v = entry.strip().partition(":")
                 steps[-1]["env"][k] = v.strip()
         elif key == "run":
