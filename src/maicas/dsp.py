@@ -21,10 +21,13 @@ minus trace) is finite too, and its deviations from their median can
 overflow to infinity but never turn NaN. So the scans could not find
 anything.
 
-The residual is formed only after the depth and endpoint tests. A -inf
-sample makes the trace -inf around it and the residual there -inf - -inf,
-which numpy warns about; a sweep whose dip is such a sample at the low end
-must end in GridTooCoarse before that.
+The residual is formed only after the depth and endpoint tests and a
+-inf test. A -inf sample makes the trace -inf around it and the residual
+there -inf - -inf, which numpy warns about, so such a sweep must end
+before that. With the -inf in the first three samples the trace's minimum
+sits on the low endpoint: GridTooCoarse. Anywhere else it is a
+DomainError: when the trace is not finite, the smallest non-NaN sample is
+looked up, and a finite sweep skips that look-up.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def extract_resonance(sweep: S11Sweep,
 
     Raises NoResonance when the dip does not clear min_depth_db below the
     sweep median, GridTooCoarse when the minimum sits on a sweep endpoint,
-    and DomainError for sweeps shorter than the smoothing window.
+    and DomainError for sweeps shorter than the smoothing window or
+    holding a -inf sample that is not such an endpoint dip.
     """
     if sweep.n_points < SMOOTHING_WINDOW:
         raise DomainError(
@@ -122,6 +126,8 @@ def extract_resonance(sweep: S11Sweep,
             f"dip depth {depth:.2f} dB below threshold {min_depth_db:.2f} dB")
     if i == 0 or i == sweep.n_points - 1:
         raise GridTooCoarse("dip sits on a sweep endpoint; widen the grid")
+    if not nan_free and np.fmin.reduce(raw) == -math.inf:
+        raise DomainError("sweep holds a -inf dB sample")
 
     step = (sweep.f_stop - sweep.f_start) / (sweep.n_points - 1)
     delta = vertex_offset(float(raw[i - 1]), float(raw[i]), float(raw[i + 1]))

@@ -9,13 +9,16 @@ a target sensitivity and frozen.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._memo import memo
 from .calibration import CalibrationModel, fit_linear, line_fit
@@ -165,10 +168,115 @@ def default_config(mode: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def derive_seed(seed: int, grid_index: int, repeat_index: int) -> np.random.SeedSequence:
-    """Documented per-repeat seed mixing: spawn-safe SeedSequence keyed by
-    (experiment seed, grid index, repeat index)."""
-    return np.random.SeedSequence((seed, grid_index, repeat_index))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on a pool of
+# four uint32 words. Every step's constant is the last one times a fixed
+# multiplier, whatever the data, so all keys can take each step at once.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hashmix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """init, init * mult, ..., init * mult**steps, each mod 2**32."""
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+_STATE_STEPS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix per column: xor with a step's constant,
+    multiply by the next one, fold the high half down."""
+    h = values ^ xor
+    h *= mult
+    h ^= h >> _SHIFT
+    return h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two words, elementwise."""
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> _SHIFT
+    return out
+
+
+@functools.cache
+def _entropy_steps(n_words: int) -> tuple:
+    """The (xor, mult) constant rows of mix_entropy over n_words words of
+    entropy: the pool fill, one row per source pool column for the cross
+    mix (its own column's slot unused), one row per word past the pool."""
+    n_extra = max(n_words - _POOL, 0)
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + n_extra))
+    fill = (c[:_POOL], c[1:_POOL + 1])
+    cross, k = [], _POOL
+    for src in range(_POOL):
+        xor, mult = np.zeros(_POOL, np.uint32), np.zeros(_POOL, np.uint32)
+        dst = [d for d in range(_POOL) if d != src]
+        xor[dst], mult[dst] = c[k:k + 3], c[k + 1:k + 4]
+        cross.append((xor, mult))
+        k += 3
+    extra = [(c[j:j + _POOL], c[j + 1:j + _POOL + 1])
+             for j in range(k, k + _POOL * n_extra, _POOL)]
+    return fill, cross, extra
+
+
+def _seed_words(seed: int, n_grid: int, repeats: int) -> np.ndarray:
+    """Row gi * repeats + ri holds
+    SeedSequence((seed, gi, ri)).generate_state(4, np.uint64), the words
+    PCG64 is seeded with, for every (grid, repeat) key in one pass.
+
+    The entropy is numpy's: the seed's little-endian 32-bit words ([0] for
+    0), then gi and ri as one word each. The rows are read-only."""
+    n = operator.index(seed)
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    n_words = len(words) + 2
+    entropy = np.zeros((n_grid * repeats, max(n_words, _POOL)), np.uint32)
+    entropy[:, :n_words - 2] = words
+    entropy[:, n_words - 2], entropy[:, n_words - 1] = np.divmod(
+        np.arange(n_grid * repeats, dtype=np.uint32), np.uint32(repeats))
+    fill, cross, extra = _entropy_steps(n_words)
+    pool = _hashmix(entropy[:, :_POOL], *fill)
+    for src, (xor, mult) in enumerate(cross):
+        # mix into every column, then undo the source's own
+        mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor, mult))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for j, (xor, mult) in enumerate(extra, _POOL):
+        pool = _mix(pool, _hashmix(entropy[:, j:j + 1], xor, mult))
+    state = _hashmix(np.concatenate((pool, pool), axis=1),
+                     _STATE_STEPS[:-1], _STATE_STEPS[1:])
+    # as generate_state builds uint64 words from uint32 ones on any host
+    out = state.astype("<u4").view("<u8").astype(np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+class _RepeatSeed(ISeedSequence):
+    """The seed of one repeat: its row of _seed_words, handed to PCG64.
+
+    It answers only PCG64's request, generate_state(4, np.uint64), and
+    refuses any other, so its words cannot seed another generator."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a repeat seed gives 4 uint64 words only, "
+                             f"not {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 def _noiseless_slope(coupling: float, config: ExperimentConfig,
@@ -397,18 +505,21 @@ def campaign_plan(config: ExperimentConfig) -> tuple[
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute one campaign. Fully deterministic for a fixed config: repeat
-    noise comes from derive_seed(seed, grid_index, repeat_index) and the
-    summary CSV is byte-identical across runs."""
+    ri at grid index gi draws its noise from
+    PCG64(SeedSequence((seed, gi, ri))), and the summary CSV is
+    byte-identical across runs. The seed words of all repeats come from
+    one vectorised pass of SeedSequence's hash (_seed_words)."""
     cal, reader, coupling, cleans = campaign_plan(
         replace(config, **_NOISE_FREE))
+    seeds = map(_RepeatSeed, _seed_words(
+        config.seed, len(config.measurand_grid), config.repeats))
     points = []
     failures = 0
-    for gi, (x, clean) in enumerate(zip(config.measurand_grid, cleans)):
+    for x, clean in zip(config.measurand_grid, cleans):
         sweeps = []
         estimates: list[ResonanceEstimate | None] = []
-        for ri in range(config.repeats):
-            noisy = add_noise(clean, config.noise_sigma_db,
-                              derive_seed(config.seed, gi, ri))
+        for _ in range(config.repeats):
+            noisy = add_noise(clean, config.noise_sigma_db, next(seeds))
             sweeps.append(noisy)
             try:
                 estimates.append(extract_resonance(noisy, config.min_depth_db))

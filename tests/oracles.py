@@ -19,6 +19,9 @@ scipy.optimize.brentq itself.
 
 And reference_add_noise: the noise step as it was before it added the
 sweep onto its own draws in place, so tests can require the same bits.
+And reference_noise_seed: the per-repeat seed as run_experiment built it
+before it hashed all repeats at once, a SeedSequence keyed by (campaign
+seed, grid index, repeat index).
 
 And reference_touchstone_text, reference_csv_text and
 reference_float_columns: the sweep file writers' and the numeric-row
@@ -237,6 +240,12 @@ def reference_add_noise(clean: np.ndarray, sigma_db: float, seed) -> np.ndarray:
     """The noisy magnitudes readout.add_noise gave for sigma_db > 0."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.minimum(clean + rng.normal(0.0, sigma_db, clean.size), 0.0)
+
+
+def reference_noise_seed(seed: int, grid_index: int,
+                         repeat_index: int) -> np.random.SeedSequence:
+    """The seed of repeat repeat_index at grid index grid_index."""
+    return np.random.SeedSequence((seed, grid_index, repeat_index))
 
 
 # --- reference log record encoder (dict + json.dumps) ------------------------

@@ -1,0 +1,86 @@
+"""The gain verdict of tools/bench_pairs.py, on synthetic paired runs.
+
+A performance claim stands or falls on compare(): a change shows a gain
+when it wins at least nine pairs in ten and its median beats the parent's
+by more than the parent's interquartile range. The script is loaded by its
+path, since tools/ is not a package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# parent runs 100..109: median 104.5, quartiles 102.25 and 106.75, IQR 4.5
+PARENT = [100.0 + i for i in range(10)]
+HIGHER = {"m": {"name": "m", "better": "higher", "bound": 0.24}}
+LOWER = {"m": {"name": "m", "better": "lower", "bound": 0.24}}
+
+
+def runs(values):
+    return [{"metrics": {"m": {"value": v, "unit": "1/s"}}} for v in values]
+
+
+def verdict(parent, change, specs=HIGHER):
+    return bench_pairs.compare(runs(parent), runs(change), specs)["m"]
+
+
+def test_parent_quartiles():
+    entry = verdict(PARENT, PARENT)
+    assert (entry["parent"]["median"], entry["parent"]["q1"],
+            entry["parent"]["q3"]) == (104.5, 102.25, 106.75)
+
+
+def test_nine_pairs_in_ten_above_the_iqr_show_a_gain():
+    change = [p + 10.0 for p in PARENT[:9]] + [PARENT[9] - 1.0]
+    entry = verdict(PARENT, change)
+    assert entry["pairs_won"] == 9 and entry["pairs"] == 10
+    assert entry["gain_shown"]
+
+
+def test_eight_pairs_in_ten_do_not():
+    change = [p + 10.0 for p in PARENT[:8]] + [p - 1.0 for p in PARENT[8:]]
+    entry = verdict(PARENT, change)
+    assert entry["pairs_won"] == 8
+    assert not entry["gain_shown"]
+
+
+@pytest.mark.parametrize("gain, shown", [(0.5, False), (4.5, False),
+                                         (4.75, True)])
+def test_the_median_gain_must_exceed_the_parents_iqr(gain, shown):
+    """Every pair won; a median gain at or below the IQR of 4.5 is no
+    gain."""
+    entry = verdict(PARENT, [p + gain for p in PARENT])
+    assert entry["pairs_won"] == 10
+    assert entry["gain_shown"] is shown
+
+
+def test_ties_count_for_neither_side():
+    change = PARENT[:5] + [p + 10.0 for p in PARENT[5:]]
+    assert verdict(PARENT, change)["pairs_won"] == 5
+    assert verdict(change, PARENT)["pairs_won"] == 0
+    assert verdict(PARENT, PARENT)["pairs_won"] == 0
+
+
+def test_lower_is_better_turns_the_sign():
+    faster = [p - 10.0 for p in PARENT]
+    slower = [p + 10.0 for p in PARENT]
+    assert verdict(PARENT, faster, LOWER)["pairs_won"] == 10
+    assert verdict(PARENT, faster, LOWER)["gain_shown"]
+    assert verdict(PARENT, slower, LOWER)["pairs_won"] == 0
+    assert not verdict(PARENT, slower, LOWER)["gain_shown"]
+
+
+@pytest.mark.parametrize("specs, inside, past", [(HIGHER, 76.1, 75.9),
+                                                 (LOWER, 123.9, 124.1)])
+def test_within_bound_turns_false_just_past_the_bound(specs, inside, past):
+    """A bound of 0.24 lets the median move 24% the wrong way, no more."""
+    parent = [100.0] * 10
+    assert verdict(parent, [inside] * 10, specs)["within_bound"]
+    assert not verdict(parent, [past] * 10, specs)["within_bound"]
+    assert verdict(parent, [inside] * 10, specs)["bound"] == 0.24

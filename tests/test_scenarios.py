@@ -1,17 +1,23 @@
 import json
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from maicas.calibration import fit_linear
 from maicas.circuit import ModelCalibration, lumped_from_geometry
-from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError)
+from maicas.dsp import extract_resonance
+from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError,
+                           GridTooCoarse, NoResonance)
 from maicas.geometry import DeviceGeometry
+from maicas.readout import add_noise
 from maicas.scenarios import (MODE_SPECS, ExperimentConfig, _brentq,
-                              default_config, derive_seed,
+                              _RepeatSeed, _seed_words, default_config,
                               fit_scenario_coupling, run_experiment)
 from maicas.sweepio import read_touchstone
 
@@ -114,16 +120,108 @@ class TestConfigValidation:
             ExperimentConfig.from_json(json.dumps(obj))
 
 
+# seeds on both sides of each 32-bit word boundary, where numpy's entropy
+# gains a word (from 2**64 on, mix_entropy's loop past the pool runs)
+_WORD_EDGES = st.sampled_from(
+    [0, 1] + [2 ** k + d for k in (32, 64, 96, 128) for d in (-1, 0, 1)])
+
+
+def reference_words(seed, gi, ri):
+    return oracles.reference_noise_seed(seed, gi, ri).generate_state(
+        4, np.uint64)
+
+
 class TestSeedDerivation:
+    """_seed_words hashes every repeat's key as SeedSequence does."""
+
     def test_deterministic(self):
-        a = derive_seed(3, 1, 2).generate_state(4)
-        b = derive_seed(3, 1, 2).generate_state(4)
-        assert list(a) == list(b)
+        a = _seed_words(3, 2, 3)
+        b = _seed_words(3, 2, 3)
+        assert a.tobytes() == b.tobytes()
 
     def test_distinct_across_indices(self):
-        states = {tuple(derive_seed(s, g, r).generate_state(4))
-                  for s in (0, 1) for g in (0, 1, 2) for r in (0, 1, 2)}
+        states = {tuple(row) for s in (0, 1) for row in _seed_words(s, 3, 3)}
         assert len(states) == 18
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_WORD_EDGES | st.integers(0, 2 ** 130), data=st.data(),
+           n_grid=st.integers(1, 12), repeats=st.integers(1, 300))
+    def test_words_state_and_draws_match_seed_sequence(self, seed, data,
+                                                       n_grid, repeats):
+        words = _seed_words(seed, n_grid, repeats)
+        assert words.shape == (n_grid * repeats, 4)
+        keys = {(0, 0), (n_grid - 1, repeats - 1),
+                (data.draw(st.integers(0, n_grid - 1)),
+                 data.draw(st.integers(0, repeats - 1)))}
+        for gi, ri in keys:
+            row = words[gi * repeats + ri]
+            want = reference_words(seed, gi, ri)
+            assert row.dtype == want.dtype and row.shape == want.shape
+            assert row.tobytes() == want.tobytes()
+            ours = np.random.PCG64(_RepeatSeed(row))
+            numpys = np.random.PCG64(oracles.reference_noise_seed(seed, gi, ri))
+            assert ours.state == numpys.state
+            assert (np.random.Generator(ours).normal(size=8).tobytes()
+                    == np.random.Generator(numpys).normal(size=8).tobytes())
+
+    @pytest.mark.parametrize("request_", [(4, np.uint32), (8, np.uint32),
+                                          (2, np.uint64), (8, np.uint64),
+                                          (4, np.int64), (4, np.float64)])
+    def test_repeat_seed_refuses_other_requests(self, request_):
+        seed = _RepeatSeed(_seed_words(0, 1, 1)[0])
+        with pytest.raises(ValueError, match="4 uint64 words only"):
+            seed.generate_state(*request_)
+
+    @pytest.mark.parametrize("generator", [np.random.MT19937,
+                                           np.random.Philox,
+                                           np.random.SFC64])
+    def test_other_generators_are_refused(self, generator):
+        with pytest.raises(ValueError, match="4 uint64 words only"):
+            generator(_RepeatSeed(_seed_words(0, 1, 1)[0]))
+
+    def test_words_are_read_only(self):
+        with pytest.raises(ValueError):
+            _seed_words(0, 1, 1)[0, 0] = 1
+
+
+def oracle_campaign(config):
+    """run_experiment's sweep bytes, summary CSV and model JSON, with each
+    repeat's noise seeded by its own SeedSequence."""
+    clean = [p.sweeps[0] for p in run_experiment(
+        replace(config, repeats=1, noise_sigma_db=0.0)).points]
+    sweeps, lines, fit_points = [], ["measurand,mean_f0_hz,sd_f0_hz,n"], []
+    for gi, x in enumerate(config.measurand_grid):
+        ok = []
+        for ri in range(config.repeats):
+            noisy = add_noise(clean[gi], config.noise_sigma_db,
+                              oracles.reference_noise_seed(config.seed, gi, ri))
+            sweeps.append(noisy.magnitude_db.tobytes())
+            try:
+                ok.append(extract_resonance(noisy, config.min_depth_db).f0_hat)
+            except (NoResonance, GridTooCoarse):
+                pass
+        mean = math.fsum(ok) / len(ok) if ok else math.nan
+        sd = (math.sqrt(math.fsum((f - mean) ** 2 for f in ok) / (len(ok) - 1))
+              if len(ok) >= 2 else 0.0 if ok else math.nan)
+        lines.append(f"{x!r},{mean!r},{sd!r},{len(ok)}")
+        if ok:
+            fit_points.append((x, mean))
+    summary = fit_linear(fit_points, MODE_SPECS[config.mode].unit)
+    return sweeps, "\n".join(lines) + "\n", summary.to_json()
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.sampled_from([0, 7, 2 ** 32 + 3, 2 ** 64 + 1]),
+       repeats=st.integers(1, 4), sigma=st.sampled_from([0.05, 0.3, 2.0]),
+       mode=st.sampled_from(["graft_pressure", "epicardial_strain"]))
+def test_run_experiment_matches_the_seed_sequence_loop(seed, repeats, sigma,
+                                                       mode):
+    config = default_config(mode, seed=seed, repeats=repeats,
+                            noise_sigma_db=sigma, n_points=401)
+    result = run_experiment(config)
+    sweeps = [s.magnitude_db.tobytes() for p in result.points for s in p.sweeps]
+    assert ((sweeps, result.to_summary_csv(), result.summary.to_json())
+            == oracle_campaign(config))
 
 
 class TestCouplingFits:

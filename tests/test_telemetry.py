@@ -5,6 +5,7 @@ import math
 import socket
 import struct
 import tempfile
+import warnings
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -280,6 +281,27 @@ class TestHostileFrames:
         assert json.loads(oracles.reference_record_to_json(record)) == expected
         log = tmp_path / "log.ndjson"
         process_frames([raw], pressure_model, log)
+        assert read_log(log) == [expected]
+
+    @pytest.mark.parametrize("index", [100, 399])
+    def test_minus_inf_sample_is_a_domain_error_record(
+            self, rest_circuit, reader, pressure_model, tmp_path, index):
+        """Not a measurement, and no RuntimeWarning on the way."""
+        clean = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 401)
+        mags = add_noise(clean, 0.1, 3).magnitude_db.copy()
+        mags[index] = -np.inf
+        raw = crafted_frame(device_id=42, timestamp=4242, mags=mags)
+        expected = {
+            "device_id": 42, "timestamp_us": 4242, "f0_hat_hz": None,
+            "measurand_value": None, "measurand_unit": "mmHg",
+            "calibration_id": calibration_id_of(pressure_model),
+            "quality": "no_resonance", "error": "domain_error"}
+        log = tmp_path / "log.ndjson"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = record_of(raw, pressure_model)
+            process_frames([raw], pressure_model, log)
+        assert json.loads(oracles.reference_record_to_json(record)) == expected
         assert read_log(log) == [expected]
 
 
