@@ -126,11 +126,6 @@ _WORD_EDGES = st.sampled_from(
     [0, 1] + [2 ** k + d for k in (32, 64, 96, 128) for d in (-1, 0, 1)])
 
 
-def reference_words(seed, gi, ri):
-    return oracles.reference_noise_seed(seed, gi, ri).generate_state(
-        4, np.uint64)
-
-
 class TestSeedDerivation:
     """_seed_words hashes every repeat's key as SeedSequence does."""
 
@@ -155,11 +150,12 @@ class TestSeedDerivation:
                  data.draw(st.integers(0, repeats - 1)))}
         for gi, ri in keys:
             row = words[gi * repeats + ri]
-            want = reference_words(seed, gi, ri)
+            reference = oracles.reference_noise_seed(seed, gi, ri)
+            want = reference.generate_state(4, np.uint64)
             assert row.dtype == want.dtype and row.shape == want.shape
             assert row.tobytes() == want.tobytes()
             ours = np.random.PCG64(_RepeatSeed(row))
-            numpys = np.random.PCG64(oracles.reference_noise_seed(seed, gi, ri))
+            numpys = np.random.PCG64(reference)
             assert ours.state == numpys.state
             assert (np.random.Generator(ours).normal(size=8).tobytes()
                     == np.random.Generator(numpys).normal(size=8).tobytes())
