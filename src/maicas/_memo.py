@@ -1,9 +1,5 @@
 """Bounded per-process memo for the seed-independent parts of a campaign.
 
-calibrate_baseline, fit_reader and fit_scenario_coupling are deterministic
-functions of frozen dataclasses and numbers, and a campaign calls them with
-the same device again and again. Each keeps its last results here.
-
 scenarios.campaign_plan keeps a whole campaign's noiseless plan: the
 calibration, reader and coupling plus one clean sweep per grid point, that
 is len(measurand_grid) * n_points float64 values (80 kB for a stock

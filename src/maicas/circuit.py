@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, asdict, replace
 import json
 
-from ._memo import memo
 from .errors import CalibrationFailed, DomainError, require_positive
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
                        LoopGeometry, Rest, SubstrateStack, apply_strain,
@@ -267,7 +266,6 @@ def lumped_from_geometry(device: DeviceGeometry, state: DeformationState,
     return LumpedCircuit(inductance, capacitance, cal.loss_R)
 
 
-@memo
 def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
                        target_depth_db: float = TARGET_DEPTH_DB) -> ModelCalibration:
     """One-time deterministic baseline fit.
@@ -282,8 +280,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
     stochastic steps, well under the evaluation budget.
 
     Raises CalibrationFailed when the target is unreachable inside the
-    search box or the joint dip residual stays above tolerance. A process fits
-    each argument set once (see maicas._memo); failures are not kept.
+    search box or the joint dip residual stays above tolerance.
     """
     from . import readout  # deferred: readout imports this module's types
 
@@ -297,10 +294,10 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
 
     # Fixed point: if the uncalibrated model already hits the target, keep it.
     identity = initial_calibration(device)
-    f_identity = lumped_from_geometry(device, Rest(), identity).f0
+    rest = lumped_from_geometry(device, Rest(), identity)
+    f_identity = rest.f0
     if abs(f_identity - target_f0) <= 1e6:
-        readout.fit_reader(lumped_from_geometry(device, Rest(), identity),
-                           target_depth_db)
+        readout.fit_reader(rest, target_depth_db)
         return identity
 
     def solve_stage_a(c_total: float) -> ModelCalibration:

@@ -54,6 +54,17 @@ class ResonanceEstimate:
     depth_db is positive (magnitude of the dip below the baseline).
     refined is False when the parabolic step was rejected and the estimate
     fell back to the grid point.
+
+    snr_estimate is depth_db over sigma_hat = 1.4826 * MAD of the residual
+    raw - smoothed (the 5-point mean), floored at 1e-12. For white noise of
+    standard deviation sigma that residual has deviation sqrt(4/5) sigma,
+    so sigma_hat reads about 0.894 sigma and the SNR about 12% high
+    (median sigma_hat / sigma 0.891-0.896 on a wide dip, 401 or 2001
+    points, sigma 0.05-1 dB). Two conditions move it. A dip whose own
+    curvature is large against the noise reads higher: 0.99 for a 20 dB
+    dip 10 samples wide (standard deviation) under 0.05 dB. Clamping at
+    0 dB (add_noise keeps a sweep passive) reads lower: 0.78 at 1 dB on a
+    -0.5 dB baseline, 0.66 at 0.5 dB on a 0 dB one.
     """
 
     f0_hat: float

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._memo import memo
 from .circuit import TARGET_DEPTH_DB, LumpedCircuit
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      require_positive)
@@ -167,7 +166,6 @@ def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
     return float(f[i]), float(mags[i])
 
 
-@memo
 def fit_reader(circuit: LumpedCircuit,
                target_depth_db: float = TARGET_DEPTH_DB) -> ReaderCouple:
     """Choose a reader that realizes the requested dip depth at the tank
@@ -177,8 +175,7 @@ def fit_reader(circuit: LumpedCircuit,
     largest value for which the reflection target stays reachable, solve the
     resulting quadratic for the undercoupled input-resistance root, map that
     resistance to a coupling coefficient, then polish the coupling with a
-    secant iteration against the actually realized dip depth. A process
-    fits each argument set once (see maicas._memo); failures are not kept.
+    secant iteration against the actually realized dip depth.
     """
     if target_depth_db >= 0:
         raise DomainError(

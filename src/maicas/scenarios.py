@@ -98,6 +98,17 @@ DEFAULT_BEND_RADIUS = 2.0      # mm
 _RTOL_MIN = 4.0 * 2.0 ** -52  # brentq's smallest relative tolerance, 4 eps
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, as the JSON loader takes it: a bool, or anything
+    operator.index refuses, raises DomainError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, serializable description of one virtual campaign."""
@@ -130,9 +141,13 @@ class ExperimentConfig:
         grid = tuple(float(x) for x in self.measurand_grid)
         if not grid:
             raise DomainError("measurand_grid must be nonempty")
+        if not all(map(math.isfinite, grid)):
+            raise DomainError(f"measurand_grid must be finite, got {grid}")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DomainError("measurand_grid must be sorted ascending")
         object.__setattr__(self, "measurand_grid", grid)
+        for name in ("seed", "repeats", "n_points"):  # a numpy int as int
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
@@ -145,8 +160,9 @@ class ExperimentConfig:
                 f"n_points must be >= {SMOOTHING_WINDOW}, got {self.n_points}")
         _check_grid(self.f_start, self.f_stop, self.n_points)
         _check_min_depth(self.min_depth_db)
-        if self.lumen_diameter <= 0:
-            raise DomainError("lumen_diameter must be > 0")
+        if not 0 < self.lumen_diameter < math.inf:
+            raise DomainError(f"lumen_diameter must be finite and > 0, "
+                              f"got {self.lumen_diameter}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -367,7 +383,6 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
         f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-@memo
 def fit_scenario_coupling(mode: str, target_sensitivity: float,
                           device: DeviceGeometry, cal: ModelCalibration) -> float:
     """Fit the one free kinematic parameter of a mode so the noiseless
@@ -375,9 +390,7 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
 
     The sensitivity is monotone in the parameter, so a bracketed root solve
     is exact and deterministic. Raises CalibrationFailed when the target is
-    non-positive or beyond what the strain validity window allows. A
-    process fits each argument set once (see maicas._memo); failures are
-    not kept.
+    non-positive or beyond what the strain validity window allows.
     """
     spec = MODE_SPECS.get(mode)
     if spec is None or spec.unit_strain is None:

@@ -2,11 +2,15 @@
 
 A performance claim stands or falls on compare(): a change shows a gain
 when it wins at least nine pairs in ten and its median beats the parent's
-by more than the parent's interquartile range. The script is loaded by its
+by more than the parent's interquartile range. The record of uncommitted
+code is checked with git and the runs stubbed. The script is loaded by its
 path, since tools/ is not a package.
 """
 
 import importlib.util
+import io
+import json
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,44 @@ def test_within_bound_turns_false_just_past_the_bound(specs, inside, past):
     assert verdict(parent, [inside] * 10, specs)["within_bound"]
     assert not verdict(parent, [past] * 10, specs)["within_bound"]
     assert verdict(parent, [inside] * 10, specs)["bound"] == 0.24
+
+
+def empty_tar() -> bytes:
+    out = io.BytesIO()
+    tarfile.open(fileobj=out, mode="w").close()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("before, after, uncommitted", [
+    (b"", b"", False),
+    (b" M src/maicas/dsp.py\n", b"", True),
+    (b"", b" M tools/bench_pairs.py\n", True),
+], ids=["clean", "changed-before", "changed-after"])
+def test_uncommitted_checks_the_measured_trees_before_and_after(
+        monkeypatch, tmp_path, before, after, uncommitted):
+    """main asks git about src/, bench/ and tools/ only, before the first
+    run and after the last; a change found either time is recorded."""
+    status = iter([before, after])
+    statuses, events = [], []
+
+    def git(*args):
+        if args[0] == "status":
+            statuses.append(args)
+            events.append("status")
+            return next(status)
+        return empty_tar() if args[0] == "archive" else b"abc\n"
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        events.append("run")
+        return {"metrics": {"m": {"value": 1.0, "unit": "1/s"}},
+                "correct": True, "context": {}}
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workloads", "campaign",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    assert events == ["status"] + ["run"] * 4 + ["status"]
+    assert all(args[-4:] == ("--", "src", "bench", "tools")
+               for args in statuses)
+    assert json.loads(out.read_text())["change"]["uncommitted"] is uncommitted

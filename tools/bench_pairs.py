@@ -15,7 +15,9 @@ the pairs the change won (ties count for neither), the ratio of the
 medians (change over parent), whether the change stays inside the bound
 BENCHMARK.json sets for it, and whether a gain is shown: the change won at
 least nine pairs in ten and its median is better by more than the parent's
-interquartile range. Standard library only.
+interquartile range. The change's "uncommitted" is true when a tracked
+file under src/, bench/ or tools/ differs from HEAD before the first run
+or after the last. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,11 +33,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEASURED = ("src", "bench", "tools")  # the trees a run executes
 
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True).stdout
+
+
+def uncommitted() -> bool:
+    """Whether a tracked file under MEASURED differs from HEAD."""
+    return bool(git("status", "--porcelain", "--untracked-files=no", "--",
+                    *MEASURED))
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -96,8 +105,7 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent).decode().strip()
     doc = {"parent": parent_sha,
            "change": {"head": git("rev-parse", "HEAD").decode().strip(),
-                      "uncommitted": bool(git("status", "--porcelain",
-                                              "--untracked-files=no"))},
+                      "uncommitted": uncommitted()},
            "command": ("bench/run.py --workload W --seed {seed} --seconds "
                        "{seconds} --trace T").format(**vars(args)),
            "pairs": args.pairs, "traced_pairs": args.traced_pairs,
@@ -128,6 +136,7 @@ def main(argv=None) -> int:
                     for side in runs})
                 entry.setdefault("context", {side: runs[side][0]["context"]
                                              for side in runs})
+    doc["change"]["uncommitted"] |= uncommitted()  # an edit during the runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
