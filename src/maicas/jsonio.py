@@ -9,6 +9,8 @@ geometry and experiment configs. The keys must be exactly the dataclass
 fields, numeric fields must be finite JSON numbers (integers too must lie
 within the float range, since the model computes with them as floats), and
 any other shape raises DomainError naming the document and the field.
+ExperimentConfig applies the same per-field rule (_field) when it is built
+in Python, and S11Sweep the same integer rule to n_points.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
+import operator
 import sys
 import types
 import typing
@@ -110,20 +114,10 @@ def from_dict(cls, obj, what: str, *, partial: bool = False):
 
 
 def _field(hint, value, where: str, partial: bool):
-    if typing.get_origin(hint) is types.UnionType:  # X | None
-        if value is None:
-            return None
-        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
-    if dataclasses.is_dataclass(hint):
-        return from_dict(hint, value, where, partial=partial)
-    if typing.get_origin(hint) is tuple:  # tuple[float, ...]
-        if not isinstance(value, list):
-            raise DomainError(f"{where}: expected a list, got {value!r}")
-        item = typing.get_args(hint)[0]
-        return tuple(_field(item, v, f"{where}[{i}]", partial)
-                     for i, v in enumerate(value))
     if hint is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # float and int first: they skip the slower numbers.Real check
+        real = isinstance(value, (float, int, numbers.Real))
+        if real and not isinstance(value, bool):
             try:
                 number = float(value)
             except OverflowError:  # an integer literal beyond float range
@@ -131,8 +125,37 @@ def _field(hint, value, where: str, partial: bool):
             if math.isfinite(number):
                 return number
         raise DomainError(f"{where}: expected a finite number, got {value!r}")
-    if not isinstance(value, hint) or (hint is int and isinstance(value, bool)):
+    if hint is int:
+        return integer(value, where)
+    if typing.get_origin(hint) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
+        return _field(hint, value, where, partial)
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value, where, partial=partial)
+    if typing.get_origin(hint) is tuple:  # tuple[float, ...]
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_field(item, v, f"{where}[{i}]", partial)
+                     for i, v in enumerate(value))
+    if not isinstance(value, hint):
         raise DomainError(f"{where}: expected {hint.__name__}, got {value!r}")
-    if hint is int and abs(value) > sys.float_info.max:
-        raise DomainError(f"{where}: integer beyond the float range")
     return value
+
+
+def integer(value, where: str) -> int:
+    """value as an int: anything operator.index takes (numpy integers too)
+    but a bool, within the float range. Any other value raises DomainError
+    naming where."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if abs(number) > sys.float_info.max:
+                raise DomainError(f"{where}: integer beyond the float range")
+            return number
+    raise DomainError(f"{where}: expected int, got {value!r}")

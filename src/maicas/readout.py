@@ -16,6 +16,7 @@ import numpy as np
 from .circuit import TARGET_DEPTH_DB, LumpedCircuit
 from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      require_positive)
+from .jsonio import integer
 
 PORT_IMPEDANCE_OHM = 50.0
 READER_REACTANCE_RATIO = 0.1  # fit_reader's reactance fraction
@@ -58,6 +59,7 @@ class S11Sweep:
     magnitude_db: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_points", integer(self.n_points, "n_points"))
         _check_grid(self.f_start, self.f_stop, self.n_points)
         # one call converts and copies, so the caller's array stays its own
         mags = np.array(self.magnitude_db, dtype=np.float64)

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._memo import memo
 from .calibration import CalibrationModel, fit_linear, line_fit
 from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, ModelCalibration,
                       calibrate_baseline, lumped_from_geometry)
@@ -30,7 +29,7 @@ from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
 from .geometry import (MAX_ABS_STRAIN, DeviceGeometry, JointBend, Rest,
                        RolledDisplacement, RolledPressure, UniaxialStrain)
-from .jsonio import load_json
+from .jsonio import _field, _type_hints, load_json
 from .readout import (ReaderCouple, S11Sweep, _check_grid, add_noise,
                       fit_reader, s11_spectrum)
 from .sweepio import write_touchstone
@@ -98,17 +97,6 @@ DEFAULT_BEND_RADIUS = 2.0      # mm
 _RTOL_MIN = 4.0 * 2.0 ** -52  # brentq's smallest relative tolerance, 4 eps
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, as the JSON loader takes it: a bool, or anything
-    operator.index refuses, raises DomainError naming the field."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, serializable description of one virtual campaign."""
@@ -136,33 +124,34 @@ class ExperimentConfig:
     equivalent_storage: str = "16 days at 70 C ~ 1 year ambient"
 
     def __post_init__(self):
+        # the JSON loader's rule for each field but the nested dataclasses,
+        # which keep their own; it also stores numpy numbers as int or float
+        for name, hint in _type_hints(ExperimentConfig).items():
+            if name not in ("device", "calibration"):
+                object.__setattr__(self, name, _field(
+                    hint, getattr(self, name), name, False))
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
-        grid = tuple(float(x) for x in self.measurand_grid)
+        grid = self.measurand_grid
         if not grid:
             raise DomainError("measurand_grid must be nonempty")
-        if not all(map(math.isfinite, grid)):
-            raise DomainError(f"measurand_grid must be finite, got {grid}")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DomainError("measurand_grid must be sorted ascending")
-        object.__setattr__(self, "measurand_grid", grid)
-        for name in ("seed", "repeats", "n_points"):  # a numpy int as int
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
             raise DomainError(f"repeats must be >= 1, got {self.repeats}")
-        if not 0 <= self.noise_sigma_db < math.inf:
-            raise DomainError(f"noise_sigma_db must be finite and >= 0, "
-                              f"got {self.noise_sigma_db}")
+        if self.noise_sigma_db < 0:
+            raise DomainError(
+                f"noise_sigma_db must be >= 0, got {self.noise_sigma_db}")
         if self.n_points < SMOOTHING_WINDOW:
             raise DomainError(
                 f"n_points must be >= {SMOOTHING_WINDOW}, got {self.n_points}")
         _check_grid(self.f_start, self.f_stop, self.n_points)
         _check_min_depth(self.min_depth_db)
-        if not 0 < self.lumen_diameter < math.inf:
-            raise DomainError(f"lumen_diameter must be finite and > 0, "
-                              f"got {self.lumen_diameter}")
+        if self.lumen_diameter <= 0:
+            raise DomainError(
+                f"lumen_diameter must be > 0, got {self.lumen_diameter}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -490,7 +479,6 @@ _NOISE_FREE = {"seed": 0, "repeats": 1, "noise_sigma_db": 0.0,
                "min_depth_db": MIN_DEPTH_DB}
 
 
-@memo
 def campaign_plan(config: ExperimentConfig) -> tuple[
         ModelCalibration, ReaderCouple, float, tuple[S11Sweep, ...]]:
     """The noiseless part of a campaign: the baseline calibration, the
@@ -498,9 +486,21 @@ def campaign_plan(config: ExperimentConfig) -> tuple[
 
     None of it depends on seed, repeats, noise_sigma_db or min_depth_db, so
     run_experiment passes the config with those four set to fixed values
-    and a seed or noise sweep in one process computes each plan once (see
-    maicas._memo). Every other field stays in the key.
+    and a seed or noise sweep in one process computes each plan once.
+
+    The last 32 plans are kept, keyed by the repr of the config, so every
+    other field stays in the key and values that compare equal but differ
+    (8 and 8.0, 0.0 and -0.0, also inside the device) never share a plan.
+    A plan holds len(measurand_grid) * n_points float64 values (80 kB for
+    a stock five-point, 2001-point campaign). A plan that raises is not
+    kept and raises again on the next call.
     """
+    return _plan(repr(config), config)
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(key: str, config: ExperimentConfig):
+    """campaign_plan's computation; key is the repr of config."""
     cal = config.calibration
     if cal is None:
         cal = calibrate_baseline(config.device, config.target_f0,

@@ -90,6 +90,20 @@ def test_within_bound_turns_false_just_past_the_bound(specs, inside, past):
     assert verdict(parent, [inside] * 10, specs)["bound"] == 0.24
 
 
+@pytest.mark.parametrize("parent, resolved", [
+    (PARENT, True),                                   # IQR 4.5 of 104.5
+    ([100.0] * 5 + [150.0] * 5, False),               # IQR 50 of 125
+    ([76.0, 76.0, 100.0, 100.0, 100.0], True),        # IQR 24 of 100
+    ([75.9, 75.9, 100.0, 100.0, 100.0], False),       # IQR 24.1 of 100
+], ids=["narrow", "wide", "at-the-bound", "past-the-bound"])
+def test_resolved_when_the_parents_iqr_fits_in_the_bound(parent, resolved):
+    """A bound of 0.24 is resolved while the parent's IQR is at most 24% of
+    its median, for either direction of better."""
+    for specs in (HIGHER, LOWER):
+        assert verdict(parent, parent, specs)["resolved"] is resolved
+    assert "resolved" not in verdict(parent, parent, {})
+
+
 def empty_tar() -> bytes:
     out = io.BytesIO()
     tarfile.open(fileobj=out, mode="w").close()

@@ -1,4 +1,4 @@
-"""The bounded per-process memo and the campaign plans it keeps."""
+"""The campaign plan cache: what it keeps, what it keys apart, its bound."""
 
 import sys
 import threading
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maicas import scenarios
-from maicas._memo import MEMO_SIZE, memo
 from maicas.circuit import calibrate_baseline
 from maicas.errors import (CalibrationFailed, DomainError, MaicasError,
                            OutOfModelRange)
@@ -17,21 +16,6 @@ from maicas.geometry import DeviceGeometry, IdeGeometry
 from maicas.readout import fit_reader
 from maicas.scenarios import (MODES, default_config, fit_scenario_coupling,
                               run_experiment)
-
-
-@pytest.mark.parametrize("a,b", [
-    (8, 8.0),
-    (0.0, -0.0),
-    (DeviceGeometry(ide=IdeGeometry(finger_count=8)),
-     DeviceGeometry(ide=IdeGeometry(finger_count=8.0))),
-    (DeviceGeometry(poisson_ratio=0.0), DeviceGeometry(poisson_ratio=-0.0)),
-])
-def test_equal_arguments_that_differ_get_their_own_entries(a, b):
-    assert a == b
-    echo = memo(lambda x: x)
-    assert echo(a) is a
-    assert echo(b) is b
-    assert echo(a) is a
 
 
 @pytest.mark.parametrize("call,error", [
@@ -49,65 +33,6 @@ def test_a_failing_fit_raises_on_every_call(device, rest_circuit,
     for _ in range(3):
         with pytest.raises(error):
             call(device, rest_circuit, baseline_cal)
-
-
-def test_failures_are_recomputed_not_kept():
-    calls = []
-
-    def failing(x):
-        calls.append(x)
-        raise DomainError("no fit")
-
-    fit = memo(failing)
-    for _ in range(3):
-        with pytest.raises(DomainError):
-            fit(1)
-    assert calls == [1, 1, 1]
-
-
-def test_size_is_bounded_and_least_recently_used_goes_first():
-    calls = []
-
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    fit = memo(square)
-    for x in range(MEMO_SIZE):
-        fit(x)
-    fit(0)          # 0 becomes the most recently used
-    fit(MEMO_SIZE)  # one past the size: drops 1, the least recently used
-    calls.clear()
-    assert fit(0) == 0 and fit(1) == 1
-    assert calls == [1]
-
-
-def test_concurrent_callers_each_get_their_own_value():
-    fit = memo(lambda x: x * x)
-    wrong = []
-
-    def worker(offset):
-        try:
-            for i in range(30000):
-                x = (i * 7 + offset) % (2 * MEMO_SIZE)
-                if fit(x) != x * x:
-                    wrong.append(x)
-        except Exception as exc:  # a worker's error must fail the test
-            wrong.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,))
-                   for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 def campaign_bytes(config):
@@ -135,8 +60,7 @@ def test_run_experiment_matches_the_plain_plan(mode, seed, repeats, sigma,
                             noise_sigma_db=sigma, n_points=n_points,
                             min_depth_db=min_depth)
     kept = campaign_bytes(config)
-    with mock.patch.object(scenarios, "campaign_plan",
-                           scenarios.campaign_plan.__wrapped__):
+    with mock.patch.object(scenarios, "_plan", scenarios._plan.__wrapped__):
         plain = campaign_bytes(config)
     assert kept == plain
     assert campaign_bytes(config) == kept
@@ -175,18 +99,25 @@ def test_noise_side_fields_share_one_plan(spectra):
     assert len(spectra) == len(config.measurand_grid)
 
 
-@pytest.mark.parametrize("fields", [
-    {"device": DeviceGeometry(rest_length=12_000.0)},
-    {"measurand_grid": (0.0, 5.0, 10.0)},
-    {"measurand_grid": (-0.0, 5.0, 10.0, 15.0, 20.0)},
-    {"f_start": 1.5e9 + 203.0},
-    {"strain_scale": 0.5},
-    {"n_points": 203},
+@pytest.mark.parametrize("base,fields", [
+    ({}, {"device": DeviceGeometry(rest_length=12_000.0)}),
+    ({}, {"measurand_grid": (0.0, 5.0, 10.0)}),
+    ({}, {"measurand_grid": (-0.0, 5.0, 10.0, 15.0, 20.0)}),
+    ({}, {"f_start": 1.5e9 + 203.0}),
+    ({}, {"strain_scale": 0.5}),
+    ({}, {"n_points": 203}),
+    ({}, {"device": DeviceGeometry(ide=IdeGeometry(finger_count=8.0))}),
+    ({"device": DeviceGeometry(poisson_ratio=0.0), "strain_scale": 1.0},
+     {"device": DeviceGeometry(poisson_ratio=-0.0)}),
 ], ids=["device", "grid", "signed-zero-grid", "f_start", "coupling",
-        "n_points"])
-def test_other_fields_get_their_own_plan(spectra, fields):
-    config = fresh_config(202.0)
+        "n_points", "float-finger-count", "signed-zero-poisson-ratio"])
+def test_other_fields_get_their_own_plan(spectra, base, fields):
+    """Every field but the four noise-side ones is in the key, and values
+    that compare equal but differ (-0.0 for 0.0, 8.0 for 8) get a plan of
+    their own."""
+    config = fresh_config(202.0, **base)
     assert config.measurand_grid[0] == 0.0
+    assert config.device.ide.finger_count == 8
     run_experiment(config)
     before = len(spectra)
     changed = replace(config, **fields)
@@ -194,6 +125,57 @@ def test_other_fields_get_their_own_plan(spectra, fields):
     assert len(spectra) == before + len(changed.measurand_grid)
     run_experiment(replace(changed, seed=5))
     assert len(spectra) == before + len(changed.measurand_grid)
+
+
+def test_size_is_bounded_and_least_recently_used_goes_first(spectra,
+                                                            baseline_cal):
+    """32 plans are kept; one more drops the least recently used."""
+    plans = [default_config("aging", measurand_grid=(0.0,), n_points=5,
+                            f_start=1.5e9 + 400.0 + k, calibration=baseline_cal)
+             for k in range(33)]
+    for config in plans[:32]:
+        scenarios.campaign_plan(config)
+    assert len(spectra) == 32
+    scenarios.campaign_plan(plans[0])   # the first is now the most recent
+    scenarios.campaign_plan(plans[32])  # one past the bound: the second goes
+    assert len(spectra) == 33
+    spectra.clear()
+    scenarios.campaign_plan(plans[0])
+    scenarios.campaign_plan(plans[1])
+    assert [args[2] for args in spectra] == [plans[1].f_start]
+
+
+def test_concurrent_callers_each_get_their_own_value():
+    """Four threads share cold plans; each campaign's bytes are those of a
+    serial run with the plain plan."""
+    configs = [fresh_config(500.0 + k, repeats=1, seed=k)
+               for k in range(4)]
+    with mock.patch.object(scenarios, "_plan", scenarios._plan.__wrapped__):
+        want = [campaign_bytes(config) for config in configs]
+    wrong = []
+
+    def worker(offset):
+        try:
+            for i in range(12):
+                k = (i + offset) % len(configs)
+                if campaign_bytes(configs[k]) != want[k]:
+                    wrong.append(k)
+        except Exception as exc:  # a worker's error must fail the test
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_a_failing_plan_raises_on_every_call(spectra):

@@ -112,6 +112,20 @@ class TestS11SweepContainer:
         with pytest.raises(DomainError):
             S11Sweep(f_start, f_stop, n, mags)
 
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), "3", True, None,
+                                   2.5], ids=["float", "numpy-float", "str",
+                                              "bool", "None", "fraction"])
+    def test_n_points_must_be_an_integer(self, n):
+        """n_points follows the JSON loader's integer rule, so a float
+        count is refused here, not later by linspace or a frame header."""
+        with pytest.raises(DomainError, match=r"n_points: expected int"):
+            S11Sweep(1.0e9, 2.0e9, n, [-1.0, -2.0, -1.0])
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3)])
+    def test_numpy_n_points_is_stored_as_int(self, n):
+        sweep = S11Sweep(1.0e9, 2.0e9, n, [-1.0, -2.0, -1.0])
+        assert type(sweep.n_points) is int and sweep.n_points == 3
+
     @pytest.mark.parametrize("f_start,f_stop", [
         (math.nan, 2.0e9), (1.0, math.inf), (1.0, math.nan),
         (math.inf, math.inf), (-math.inf, 2.0e9)])

@@ -1,7 +1,8 @@
 import json
 import math
+import operator
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,27 @@ from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError,
                            GridTooCoarse, NoResonance)
 from maicas.geometry import DeviceGeometry
 from maicas.readout import add_noise
-from maicas.scenarios import (MODE_SPECS, ExperimentConfig, _brentq,
+from maicas.scenarios import (MODE_SPECS, MODES, ExperimentConfig, _brentq,
                               _RepeatSeed, _seed_words, default_config,
                               fit_scenario_coupling, run_experiment)
 from maicas.sweepio import read_touchstone
 
 
 DROP = object()  # marks a JSON key to delete
+
+# every config field but the grid and the nested dataclasses, and values of
+# every kind for them: JSON's and Python's numbers at their edges, strings,
+# None, numpy scalars
+_SCALAR_FIELDS = [f.name for f in fields(ExperimentConfig)
+                  if f.name not in ("measurand_grid", "device", "calibration")]
+_FIELD_VALUES = (
+    st.integers(-2 ** 1100, 2 ** 1100) | st.integers(-10, 3000)
+    | st.floats() | st.sampled_from(
+        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+         -5e-324, 1e-310, True, False, None])
+    | st.text(max_size=12) | st.sampled_from(MODES)
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+    | st.floats().map(np.float64))
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 SNAPSHOT_CONFIGS = {
@@ -99,6 +114,32 @@ class TestConfigValidation:
             [int, int, int]
         assert cfg == default_config("aging", seed=3, repeats=2, n_points=401)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(_SCALAR_FIELDS), value=_FIELD_VALUES)
+    def test_construction_refuses_exactly_what_from_json_refuses(self, name,
+                                                                 value):
+        """Built in Python or read from JSON, a field value gets the same
+        verdict; a refusal names the field, and a config that builds
+        survives to_json and from_json unchanged."""
+        stock = default_config("aging")
+        obj = json.loads(stock.to_json())
+        obj[name] = value
+        # a numpy integer is written as the JSON integer it stands for
+        text = json.dumps(obj, default=operator.index)
+        try:
+            loaded = ExperimentConfig.from_json(text)
+        except DomainError:
+            loaded = None
+        try:
+            built = replace(stock, **{name: value})
+        except DomainError as exc:
+            assert name in str(exc)
+            assert loaded is None
+            return
+        assert loaded is not None
+        assert repr(loaded) == repr(built)
+        assert repr(ExperimentConfig.from_json(built.to_json())) == repr(built)
 
     def test_json_round_trip(self, baseline_cal):
         cfg = default_config("graft_pressure", seed=7, repeats=3,

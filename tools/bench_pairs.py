@@ -13,7 +13,9 @@ metrics.
 For every metric the output holds each side's runs, median and quartiles,
 the pairs the change won (ties count for neither), the ratio of the
 medians (change over parent), whether the change stays inside the bound
-BENCHMARK.json sets for it, and whether a gain is shown: the change won at
+BENCHMARK.json sets for it, whether that bound is resolved (the parent's
+interquartile range is at most bound times its median's size), and
+whether a gain is shown: the change won at
 least nine pairs in ten and its median is better by more than the parent's
 interquartile range. The change's "uncommitted" is true when a tracked
 file under src/, bench/ or tools/ differs from HEAD before the first run
@@ -86,6 +88,10 @@ def compare(parent: list[dict], change: list[dict], specs: dict) -> dict:
             entry["within_bound"] = (
                 sign * (cs["median"] - ps["median"])
                 >= -spec["bound"] * abs(ps["median"]))
+            # a parent spread wider than the bound cannot resolve a move
+            # of the bound's size
+            entry["resolved"] = (ps["q3"] - ps["q1"]
+                                 <= spec["bound"] * abs(ps["median"]))
         metrics[name] = entry
     return metrics
 
