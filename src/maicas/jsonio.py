@@ -127,19 +127,20 @@ def _field(hint, value, where: str, partial: bool):
         raise DomainError(f"{where}: expected a finite number, got {value!r}")
     if hint is int:
         return integer(value, where)
-    if typing.get_origin(hint) is types.UnionType:  # X | None
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:  # X | None
         if value is None:
             return None
         (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
         return _field(hint, value, where, partial)
-    if dataclasses.is_dataclass(hint):
-        return from_dict(hint, value, where, partial=partial)
-    if typing.get_origin(hint) is tuple:  # tuple[float, ...]
+    if origin is tuple:  # tuple[float, ...]
         if not isinstance(value, (list, tuple)):
             raise DomainError(f"{where}: expected a list, got {value!r}")
         item = typing.get_args(hint)[0]
         return tuple(_field(item, v, f"{where}[{i}]", partial)
                      for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value, where, partial=partial)
     if not isinstance(value, hint):
         raise DomainError(f"{where}: expected {hint.__name__}, got {value!r}")
     return value
