@@ -12,7 +12,8 @@ from maicas import scenarios
 from maicas.circuit import calibrate_baseline
 from maicas.errors import (CalibrationFailed, DomainError, MaicasError,
                            OutOfModelRange)
-from maicas.geometry import DeviceGeometry, IdeGeometry
+from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
+                             SubstrateStack)
 from maicas.readout import fit_reader
 from maicas.scenarios import (MODES, default_config, fit_scenario_coupling,
                               run_experiment)
@@ -99,25 +100,19 @@ def test_noise_side_fields_share_one_plan(spectra):
     assert len(spectra) == len(config.measurand_grid)
 
 
-@pytest.mark.parametrize("base,fields", [
-    ({}, {"device": DeviceGeometry(rest_length=12_000.0)}),
-    ({}, {"measurand_grid": (0.0, 5.0, 10.0)}),
-    ({}, {"measurand_grid": (-0.0, 5.0, 10.0, 15.0, 20.0)}),
-    ({}, {"f_start": 1.5e9 + 203.0}),
-    ({}, {"strain_scale": 0.5}),
-    ({}, {"n_points": 203}),
-    ({}, {"device": DeviceGeometry(ide=IdeGeometry(finger_count=8.0))}),
-    ({"device": DeviceGeometry(poisson_ratio=0.0), "strain_scale": 1.0},
-     {"device": DeviceGeometry(poisson_ratio=-0.0)}),
+@pytest.mark.parametrize("fields", [
+    {"device": DeviceGeometry(rest_length=12_000.0)},
+    {"measurand_grid": (0.0, 5.0, 10.0)},
+    {"measurand_grid": (-0.0, 5.0, 10.0, 15.0, 20.0)},
+    {"f_start": 1.5e9 + 203.0},
+    {"strain_scale": 0.5},
+    {"n_points": 203},
 ], ids=["device", "grid", "signed-zero-grid", "f_start", "coupling",
-        "n_points", "float-finger-count", "signed-zero-poisson-ratio"])
-def test_other_fields_get_their_own_plan(spectra, base, fields):
-    """Every field but the four noise-side ones is in the key, and values
-    that compare equal but differ (-0.0 for 0.0, 8.0 for 8) get a plan of
-    their own."""
-    config = fresh_config(202.0, **base)
+        "n_points"])
+def test_other_fields_get_their_own_plan(spectra, fields):
+    """Every field but the four noise-side ones is in the key."""
+    config = fresh_config(202.0)
     assert config.measurand_grid[0] == 0.0
-    assert config.device.ide.finger_count == 8
     run_experiment(config)
     before = len(spectra)
     changed = replace(config, **fields)
@@ -125,6 +120,54 @@ def test_other_fields_get_their_own_plan(spectra, base, fields):
     assert len(spectra) == before + len(changed.measurand_grid)
     run_experiment(replace(changed, seed=5))
     assert len(spectra) == before + len(changed.measurand_grid)
+
+
+@pytest.mark.parametrize("a,b", [
+    pytest.param({"device": DeviceGeometry(ide=IdeGeometry(finger_count=8))},
+                 {"device": DeviceGeometry(ide=IdeGeometry(finger_count=8.0))},
+                 id="8-8.0"),
+    pytest.param({"device": DeviceGeometry(poisson_ratio=0.0),
+                  "strain_scale": 1.0},
+                 {"device": DeviceGeometry(poisson_ratio=-0.0),
+                  "strain_scale": 1.0},
+                 id="0.0--0.0"),
+    pytest.param({"device": DeviceGeometry(loop=LoopGeometry(turns=1))},
+                 {"device": DeviceGeometry(loop=LoopGeometry(turns=1.0))},
+                 id="a2-b2"),
+    pytest.param({"device": DeviceGeometry(
+                      stack=SubstrateStack(metal_thickness=30.0))},
+                 {"device": DeviceGeometry(
+                      stack=SubstrateStack(metal_thickness=30))},
+                 id="a3-b3"),
+])
+def test_equal_arguments_that_differ_get_their_own_entries(spectra, a, b):
+    """Configs that compare equal but differ inside the device (8.0 for 8,
+    -0.0 for 0.0) get a plan each, and the first keeps its own."""
+    first, second = fresh_config(602.0, **a), fresh_config(602.0, **b)
+    assert first == second
+    run_experiment(first)
+    before = len(spectra)
+    run_experiment(second)
+    assert len(spectra) == before + len(second.measurand_grid)
+    run_experiment(replace(first, seed=5))
+    assert len(spectra) == before + len(second.measurand_grid)
+
+
+def test_failures_are_recomputed_not_kept(monkeypatch):
+    """A calibration that fails is tried again on every call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = scenarios.calibrate_baseline
+    monkeypatch.setattr(scenarios, "calibrate_baseline", counting)
+    config = fresh_config(604.0, target_f0=100e9)
+    for seed in range(3):
+        with pytest.raises(CalibrationFailed):
+            run_experiment(replace(config, seed=seed))
+    assert len(calls) == 3
 
 
 def test_size_is_bounded_and_least_recently_used_goes_first(spectra,
