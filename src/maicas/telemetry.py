@@ -191,7 +191,8 @@ class _FrameServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, frames: list[bytes], frame_interval_s: float):
-        self.frames = frames
+        # a paced session writes frame by frame, an unpaced one all at once
+        self.chunks = frames if frame_interval_s > 0 else [b"".join(frames)]
         self.frame_interval_s = frame_interval_s
         super().__init__(address, _FrameHandler)
 
@@ -199,10 +200,10 @@ class _FrameServer(socketserver.ThreadingTCPServer):
 class _FrameHandler(socketserver.BaseRequestHandler):
     def handle(self):
         try:
-            for frame in self.server.frames:
-                self.request.sendall(frame)
-                if self.server.frame_interval_s > 0:
+            for i, chunk in enumerate(self.server.chunks):
+                if i:
                     time.sleep(self.server.frame_interval_s)
+                self.request.sendall(chunk)
         except OSError:
             pass  # client went away; other sessions are unaffected
 
@@ -213,7 +214,10 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
     """Bind and serve the frame list on a background thread; port 0 binds
     a free one. Every client connection replays the full list, pausing
     frame_interval_s between frames; a pause outside 0..MAX_SERVE_INTERVAL_S
-    is a DomainError. Returns (server, thread); call server.shutdown() then
+    is a DomainError. With no pause a session is one write of the whole
+    dump: the server joins the frames once, here, and holds that copy
+    (330 kB for 200 401-point frames, 8 MB for 1000 2001-point ones).
+    Returns (server, thread); call server.shutdown() then
     server.server_close()."""
     if not 0 <= frame_interval_s <= MAX_SERVE_INTERVAL_S:
         raise DomainError(f"frame interval {frame_interval_s} s outside "

@@ -666,6 +666,95 @@ def payload_server(payload: bytes):
         server.server_close()
 
 
+@contextlib.contextmanager
+def serving(frames, frame_interval_s=0.0):
+    """A loopback frame server for the block. Yields the server."""
+    server, _ = start_server(frames, port=0, frame_interval_s=frame_interval_s)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def session_bytes(server) -> bytes:
+    """Everything one client receives, up to the server's close."""
+    with socket.create_connection(server.server_address) as client:
+        return b"".join(iter(lambda: client.recv(1 << 16), b""))
+
+
+@pytest.fixture()
+def sendall_calls(monkeypatch):
+    """The outcome of every socket sendall in call order: the byte count
+    it sent, or the OSError it raised."""
+    calls = []
+    real = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        try:
+            real(sock, data, *args)
+        except OSError as exc:
+            calls.append(exc)
+            raise
+        calls.append(len(data))
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    return calls
+
+
+class TestFrameServer:
+    @pytest.mark.parametrize("interval", [0.0, 0.001])
+    def test_an_unpaced_session_is_one_write(self, sweep_pool, sendall_calls,
+                                             interval):
+        frames = frames_from_sweeps(sweep_pool * 5)
+        assert len(frames) == 200
+        with serving(frames, interval) as server:
+            assert session_bytes(server) == b"".join(frames)
+        expected = ([len(f) for f in frames] if interval
+                    else [len(b"".join(frames))])
+        assert sendall_calls == expected
+
+    @pytest.mark.parametrize("n, interval, pauses", [
+        (5, 0.25, [0.25] * 4), (1, 0.25, []), (0, 0.25, []), (5, 0.0, [])])
+    def test_a_paced_session_pauses_between_frames_only(
+            self, sweep_pool, monkeypatch, n, interval, pauses):
+        slept = []
+        monkeypatch.setattr(telemetry.time, "sleep", slept.append)
+        frames = frames_from_sweeps(sweep_pool[:n])
+        with serving(frames, interval) as server:
+            assert session_bytes(server) == b"".join(frames)
+        assert slept == pauses
+
+    def test_a_client_that_leaves_mid_write(self, sweep_pool, pressure_model,
+                                            sendall_calls, capfd, tmp_path):
+        # three 8 MB frames after the small ones, more than the loopback
+        # buffers hold: a gateway that takes three frames and closes leaves
+        # the server inside its one sendall. Their flipped bit makes each a
+        # cheap ChecksumMismatch record.
+        n = 1 << 21
+        big = bytearray(encode_frame(
+            1, 0, S11Sweep(1.5e9, 2.0e9, n, np.full(n, -1.0))))
+        big[HEADER_SIZE] ^= 1
+        frames = frames_from_sweeps(sweep_pool[:4]) + [bytes(big)] * 3
+        with serving(frames) as server:
+            port = server.server_address[1]
+            first = gateway("127.0.0.1", port, pressure_model,
+                            tmp_path / "left.ndjson", max_frames=3)
+            full = gateway("127.0.0.1", port, pressure_model,
+                           tmp_path / "live.ndjson", max_frames=len(frames))
+        assert first.frames_seen == 3
+        assert full.frames_seen == len(frames)
+        assert full.reconnects == 0
+        left = [c for c in sendall_calls if isinstance(c, OSError)]
+        assert len(left) == 1
+        assert [c for c in sendall_calls if c not in left] == [
+            len(b"".join(frames))]
+        process_frames(frames, pressure_model, tmp_path / "offline.ndjson")
+        assert ((tmp_path / "live.ndjson").read_bytes()
+                == (tmp_path / "offline.ndjson").read_bytes())
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestGateway:
     def run_loopback(self, frames, model, log, **kwargs):
         server, _ = start_server(frames, port=free_port())
