@@ -191,7 +191,7 @@ class _FrameServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, frames: list[bytes], frame_interval_s: float):
-        # a paced session writes frame by frame, an unpaced one all at once
+        # unpaced: one write per session, not a send and a GIL handover per frame
         self.chunks = frames if frame_interval_s > 0 else [b"".join(frames)]
         self.frame_interval_s = frame_interval_s
         super().__init__(address, _FrameHandler)
