@@ -191,7 +191,7 @@ class _FrameServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, frames: list[bytes], frame_interval_s: float):
-        # unpaced: one write per session, not a send and a GIL handover per frame
+        # unpaced: one write a session, not a send and GIL handover a frame
         self.chunks = frames if frame_interval_s > 0 else [b"".join(frames)]
         self.frame_interval_s = frame_interval_s
         super().__init__(address, _FrameHandler)
