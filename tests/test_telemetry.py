@@ -655,18 +655,6 @@ def free_port() -> int:
 
 
 @contextlib.contextmanager
-def payload_server(payload: bytes):
-    """A loopback server that sends payload to each client and then closes
-    the connection. Yields its port."""
-    server, _ = start_server([payload], port=0)
-    try:
-        yield server.server_address[1]
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@contextlib.contextmanager
 def serving(frames, frame_interval_s=0.0):
     """A loopback frame server for the block. Yields the server."""
     server, _ = start_server(frames, port=0, frame_interval_s=frame_interval_s)
@@ -675,6 +663,14 @@ def serving(frames, frame_interval_s=0.0):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@contextlib.contextmanager
+def payload_server(payload: bytes):
+    """A loopback server that sends payload to each client and then closes
+    the connection. Yields its port."""
+    with serving([payload]) as server:
+        yield server.server_address[1]
 
 
 def session_bytes(server) -> bytes:
@@ -704,8 +700,8 @@ def sendall_calls(monkeypatch):
 
 class TestFrameServer:
     @pytest.mark.parametrize("interval", [0.0, 0.001])
-    def test_an_unpaced_session_is_one_write(self, sweep_pool, sendall_calls,
-                                             interval):
+    def test_a_session_is_one_write_unless_paced(self, sweep_pool,
+                                                 sendall_calls, interval):
         frames = frames_from_sweeps(sweep_pool * 5)
         assert len(frames) == 200
         with serving(frames, interval) as server:
