@@ -20,6 +20,7 @@ from .jsonio import integer
 
 PORT_IMPEDANCE_OHM = 50.0
 READER_REACTANCE_RATIO = 0.1  # fit_reader's reactance fraction
+DIP_SPAN = 0.05  # dip_of's first grid: f0 times 1 ± this fraction
 
 
 @dataclass(frozen=True)
@@ -147,13 +148,12 @@ def vertex_offset(y0: float, y1: float, y2: float) -> float | None:
     return None
 
 
-def dip_of(circuit: LumpedCircuit, reader: ReaderCouple,
-           rel_span: float = 0.05) -> tuple[float, float]:
+def dip_of(circuit: LumpedCircuit,
+           reader: ReaderCouple) -> tuple[float, float]:
     """Location and depth of the reflection dip near the tank resonance,
-    from a two-stage dense evaluation plus parabolic refinement. Used by the
-    calibration fits; deterministic."""
-    f0 = circuit.f0
-    lo, hi = f0 * (1.0 - rel_span), f0 * (1.0 + rel_span)
+    from a two-stage dense evaluation, first over f0 times 1 ± DIP_SPAN,
+    plus parabolic refinement. Used by the calibration fits; deterministic."""
+    lo, hi = circuit.f0 * (1.0 - DIP_SPAN), circuit.f0 * (1.0 + DIP_SPAN)
     for _ in range(2):
         f = np.linspace(lo, hi, 2001)
         mags = _reflection_db(circuit, reader, f)

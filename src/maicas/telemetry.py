@@ -217,14 +217,16 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
     is a DomainError. With no pause a session is one write of the whole
     dump: the server joins the frames once, here, and holds that copy
     (330 kB for 200 401-point frames, 8 MB for 1000 2001-point ones).
-    Returns (server, thread); call server.shutdown() then
-    server.server_close()."""
+    Returns (server, thread); call server.shutdown(), which returns within
+    about 50 ms, then server.server_close()."""
     if not 0 <= frame_interval_s <= MAX_SERVE_INTERVAL_S:
         raise DomainError(f"frame interval {frame_interval_s} s outside "
                           f"0..{MAX_SERVE_INTERVAL_S:g} s")
     port = default_port() if port is None else _checked_port(port, "port")
     server = _FrameServer((host, port), list(frames), frame_interval_s)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll; an idle server wakes ~20 times a second
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     return server, thread
 
@@ -451,7 +453,7 @@ def split_dump(data: bytes) -> list[bytes]:
 
 
 def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
-                   max_connect_attempts: int | None, sleep):
+                   max_connect_attempts: int | None):
     """Raw frames from a server in arrival order, across connections: the
     connect, backoff and reconnect policy that gateway documents.
     tally["reconnects"] counts the connects after the first attempt."""
@@ -478,14 +480,13 @@ def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
                 else:
                     if not reconnect:
                         return  # clean end of stream
-        sleep(backoff)
+        time.sleep(backoff)
         backoff = min(backoff * BACKOFF_FACTOR, BACKOFF_CAP_S)
 
 
 def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
             *, max_frames: int | None = None, reconnect: bool = True,
-            max_connect_attempts: int | None = None,
-            _sleep=time.sleep) -> GatewayStats:
+            max_connect_attempts: int | None = None) -> GatewayStats:
     """Log the frames a server streams: process_frames over the first
     max_frames of them (all when None), read across reconnections.
 
@@ -506,8 +507,7 @@ def gateway(host: str, port: int | None, model: CalibrationModel, log_path,
     tally = {"reconnects": 0}
     with contextlib.closing(_server_frames(
             (host, port), tally, reconnect=reconnect,
-            max_connect_attempts=max_connect_attempts,
-            sleep=_sleep)) as frames:
+            max_connect_attempts=max_connect_attempts)) as frames:
         counts = process_frames(itertools.islice(frames, max_frames), model,
                                 log_path)
     return GatewayStats(sum(counts.values()), counts["ok"],

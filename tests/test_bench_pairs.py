@@ -132,7 +132,7 @@ def test_uncommitted_checks_the_measured_trees_before_and_after(
     def run_bench(tree, workload, seed, seconds, trace):
         events.append("run")
         return {"metrics": {"m": {"value": 1.0, "unit": "1/s"}},
-                "correct": True, "context": {}}
+                "correct": True, "attempted": 1, "failed": 0, "context": {}}
 
     monkeypatch.setattr(bench_pairs, "git", git)
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
@@ -143,3 +143,41 @@ def test_uncommitted_checks_the_measured_trees_before_and_after(
     assert all(args[-4:] == ("--", "src", "bench", "tools")
                for args in statuses)
     assert json.loads(out.read_text())["change"]["uncommitted"] is uncommitted
+
+
+def test_attempted_and_failed_are_kept_per_side_and_trace(monkeypatch,
+                                                          tmp_path):
+    """Each run's correct, attempted and failed land in the document, in
+    run order, under the side and trace setting that produced them."""
+    calls = {}
+
+    def git(*args):
+        if args[0] == "status":
+            return b""
+        return empty_tar() if args[0] == "archive" else b"abc\n"
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        n = calls[side, trace] = calls.get((side, trace), 0) + 1
+        attempted = 200 * n + (side == "change") + 10 * trace
+        return {"metrics": {"m": {"value": 1.0, "unit": "1/s"}},
+                "correct": n != 2, "attempted": attempted, "failed": n,
+                "context": {}}
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workloads", "gateway",
+                             "--pairs", "3", "--traced-pairs", "1",
+                             "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["gateway"]
+    assert entry["attempted"] == {
+        "parent_trace0": [200, 400, 600], "change_trace0": [201, 401, 601],
+        "parent_trace1": [210], "change_trace1": [211]}
+    assert entry["failed"] == {
+        "parent_trace0": [1, 2, 3], "change_trace0": [1, 2, 3],
+        "parent_trace1": [1], "change_trace1": [1]}
+    assert entry["correct"] == {
+        "parent_trace0": [True, False, True],
+        "change_trace0": [True, False, True],
+        "parent_trace1": [True], "change_trace1": [True]}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from maicas import readout
 from maicas.circuit import LumpedCircuit
 from maicas.errors import CalibrationFailed, DegenerateInput, DomainError
 from maicas.readout import (ReaderCouple, S11Sweep, add_noise, dip_of,
@@ -75,9 +76,12 @@ class TestDipOf:
         assert abs(f_dip - rest_circuit.f0) / rest_circuit.f0 < 0.01
         assert depth == pytest.approx(-14.0, abs=0.1)
 
-    def test_grid_refinement_converges(self, rest_circuit, reader):
-        f_wide, _ = dip_of(rest_circuit, reader, rel_span=0.20)
-        f_tight, _ = dip_of(rest_circuit, reader, rel_span=0.02)
+    def test_grid_refinement_converges(self, rest_circuit, reader,
+                                       monkeypatch):
+        monkeypatch.setattr(readout, "DIP_SPAN", 0.20)
+        f_wide, _ = dip_of(rest_circuit, reader)
+        monkeypatch.setattr(readout, "DIP_SPAN", 0.02)
+        f_tight, _ = dip_of(rest_circuit, reader)
         assert abs(f_wide - f_tight) < 50e3
 
     def test_returns_plain_floats(self, rest_circuit, reader):

@@ -5,6 +5,8 @@ import math
 import socket
 import struct
 import tempfile
+import threading
+import time
 import warnings
 import zlib
 from dataclasses import replace
@@ -698,6 +700,26 @@ def sendall_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The gateway's backoff sleeps in call order, which return at once.
+    telemetry.time.sleep is the process-wide time.sleep, so only calls on
+    the test's own thread are recorded; a frame server's pause between
+    frames, on its handler thread, really sleeps."""
+    calls = []
+    real = time.sleep
+    test_thread = threading.get_ident()
+
+    def recording(seconds):
+        if threading.get_ident() == test_thread:
+            calls.append(seconds)
+        else:
+            real(seconds)
+
+    monkeypatch.setattr(telemetry.time, "sleep", recording)
+    return calls
+
+
 class TestFrameServer:
     @pytest.mark.parametrize("interval", [0.0, 0.001])
     def test_a_session_is_one_write_unless_paced(self, sweep_pool,
@@ -749,6 +771,13 @@ class TestFrameServer:
         assert ((tmp_path / "live.ndjson").read_bytes()
                 == (tmp_path / "offline.ndjson").read_bytes())
         assert "Traceback" not in capfd.readouterr().err
+
+    def test_shutdown_returns_promptly(self):
+        with serving([]) as server:
+            time.sleep(0.02)  # let serve_forever enter its poll
+            start = time.perf_counter()
+            server.shutdown()
+            assert time.perf_counter() - start < 0.2
 
 
 class TestGateway:
@@ -820,39 +849,32 @@ class TestGateway:
                 == read_log(tmp_path / "b.ndjson"))
 
     def test_backoff_sequence_against_closed_port(self, pressure_model,
-                                                  tmp_path):
-        sleeps = []
+                                                  tmp_path, sleeps):
         stats = gateway("127.0.0.1", free_port(), pressure_model,
-                        tmp_path / "none.ndjson", max_connect_attempts=6,
-                        _sleep=sleeps.append)
+                        tmp_path / "none.ndjson", max_connect_attempts=6)
         assert stats.frames_seen == 0
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0]
 
-    def test_backoff_cap(self, pressure_model, tmp_path):
-        sleeps = []
+    def test_backoff_cap(self, pressure_model, tmp_path, sleeps):
         gateway("127.0.0.1", free_port(), pressure_model,
-                tmp_path / "none.ndjson", max_connect_attempts=9,
-                _sleep=sleeps.append)
+                tmp_path / "none.ndjson", max_connect_attempts=9)
         assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_no_reconnect_stops_after_first_failure(self, pressure_model,
-                                                    tmp_path):
-        sleeps = []
+                                                    tmp_path, sleeps):
         stats = gateway("127.0.0.1", free_port(), pressure_model,
-                        tmp_path / "none.ndjson", reconnect=False,
-                        _sleep=sleeps.append)
+                        tmp_path / "none.ndjson", reconnect=False)
         assert stats.frames_seen == 0
         assert sleeps == []
 
     def test_reconnects_after_the_server_closes(self, sweep_pool,
-                                                 pressure_model, tmp_path):
+                                                 pressure_model, tmp_path,
+                                                 sleeps):
         frames = mixed_frames(sweep_pool)
         n = len(frames)
-        sleeps = []
         with payload_server(b"".join(frames)) as port:
             stats = gateway("127.0.0.1", port, pressure_model,
-                            tmp_path / "live.ndjson", max_frames=2 * n + 3,
-                            _sleep=sleeps.append)
+                            tmp_path / "live.ndjson", max_frames=2 * n + 3)
         counts = process_frames((frames * 3)[:2 * n + 3], pressure_model,
                                 tmp_path / "offline.ndjson")
         assert stats == GatewayStats(
@@ -865,16 +887,15 @@ class TestGateway:
 
     @pytest.mark.parametrize("reconnect", [True, False])
     def test_torn_frame_ends_the_session(self, sweep_pool, pressure_model,
-                                         tmp_path, reconnect):
+                                         tmp_path, sleeps, reconnect):
         # a torn frame is lost framing, not a clean end of stream, so the
         # gateway reconnects even with reconnect=False
         frames = mixed_frames(sweep_pool)
         payload = b"".join(frames[:3]) + frames[3][:HEADER_SIZE + 10]
-        sleeps = []
         with payload_server(payload) as port:
             stats = gateway("127.0.0.1", port, pressure_model,
                             tmp_path / "live.ndjson", max_frames=9,
-                            reconnect=reconnect, _sleep=sleeps.append)
+                            reconnect=reconnect)
         counts = process_frames(frames[:3] * 3, pressure_model,
                                 tmp_path / "offline.ndjson")
         assert stats == GatewayStats(
@@ -886,25 +907,22 @@ class TestGateway:
                 == (tmp_path / "offline.ndjson").read_bytes())
 
     def test_no_reconnect_ends_at_a_clean_end_of_stream(
-            self, sweep_pool, pressure_model, tmp_path):
+            self, sweep_pool, pressure_model, tmp_path, sleeps):
         frames = mixed_frames(sweep_pool)
-        sleeps = []
         with payload_server(b"".join(frames)) as port:
             stats = gateway("127.0.0.1", port, pressure_model,
-                            tmp_path / "live.ndjson", reconnect=False,
-                            _sleep=sleeps.append)
+                            tmp_path / "live.ndjson", reconnect=False)
         assert stats.frames_seen == len(frames)
         assert stats.reconnects == 0
         assert sleeps == []
 
-    def test_zero_max_frames_never_connects(self, pressure_model, tmp_path):
+    def test_zero_max_frames_never_connects(self, pressure_model, tmp_path,
+                                            sleeps):
         log = tmp_path / "none.ndjson"
-        sleeps = []
         with socket.create_server(("127.0.0.1", 0)) as listener:
             listener.setblocking(False)
             stats = gateway("127.0.0.1", listener.getsockname()[1],
-                            pressure_model, log, max_frames=0,
-                            _sleep=sleeps.append)
+                            pressure_model, log, max_frames=0)
             with pytest.raises(BlockingIOError):
                 listener.accept()
         assert stats == GatewayStats(0, 0, 0, 0, 0)
@@ -912,17 +930,16 @@ class TestGateway:
         assert log.read_text() == json.dumps({"schema": LOG_SCHEMA}) + "\n"
 
     def test_frames_slower_than_the_connect_timeout(
-            self, sweep_pool, pressure_model, tmp_path, monkeypatch):
+            self, sweep_pool, pressure_model, tmp_path, monkeypatch, sleeps):
         # only the connect is timed: a server that paces its frames more
         # slowly than the connect timeout keeps its one session
         monkeypatch.setattr(telemetry, "CONNECT_TIMEOUT_S", 0.2)
         frames = frames_from_sweeps(sweep_pool[:3])
-        sleeps = []
         server, _ = start_server(frames, port=0, frame_interval_s=0.5)
         try:
             stats = gateway("127.0.0.1", server.server_address[1],
                             pressure_model, tmp_path / "live.ndjson",
-                            max_frames=3, _sleep=sleeps.append)
+                            max_frames=3)
         finally:
             server.shutdown()
             server.server_close()
@@ -935,12 +952,11 @@ class TestGateway:
         {"max_frames": -1}, {"max_frames": -3},
         {"max_connect_attempts": 0}, {"max_connect_attempts": -2}])
     def test_negative_counts_are_domain_errors(self, pressure_model,
-                                               tmp_path, counts):
+                                               tmp_path, sleeps, counts):
         log = tmp_path / "none.ndjson"
-        sleeps = []
         with pytest.raises(DomainError):
             gateway("127.0.0.1", free_port(), pressure_model, log,
-                    _sleep=sleeps.append, **counts)
+                    **counts)
         assert sleeps == []
         assert not log.exists()
 

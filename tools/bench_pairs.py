@@ -17,9 +17,11 @@ BENCHMARK.json sets for it, whether that bound is resolved (the parent's
 interquartile range is at most bound times its median's size), and
 whether a gain is shown: the change won at
 least nine pairs in ten and its median is better by more than the parent's
-interquartile range. The change's "uncommitted" is true when a tracked
-file under src/, bench/ or tools/ differs from HEAD before the first run
-or after the last. Standard library only.
+interquartile range. Each run's correct, attempted and failed are kept per
+side and per trace setting, so the failed share can be compared. The
+change's "uncommitted" is true when a tracked file under src/, bench/ or
+tools/ differs from HEAD before the first run or after the last. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def main(argv=None) -> int:
                     continue
                 key = "end_to_end" if trace == 0 else "per_layer"
                 entry[key] = compare(runs["parent"], runs["change"], specs)
-                entry.setdefault("correct", {}).update({
-                    f"{side}_trace{trace}": [r["correct"] for r in runs[side]]
-                    for side in runs})
+                for field in ("correct", "attempted", "failed"):
+                    entry.setdefault(field, {}).update({
+                        f"{side}_trace{trace}": [r[field] for r in runs[side]]
+                        for side in runs})
                 entry.setdefault("context", {side: runs[side][0]["context"]
                                              for side in runs})
     doc["change"]["uncommitted"] |= uncommitted()  # an edit during the runs
