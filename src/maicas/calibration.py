@@ -10,7 +10,7 @@ from typing import Literal, Sequence
 
 from .errors import (DegenerateInput, DegenerateModel, DomainError,
                      IncompleteCycle)
-from .jsonio import float_columns, load_json
+from .jsonio import check_fields, float_columns, load_json
 
 # measurand unit -> the symbol the CLI prints after a slope
 MEASURAND_UNITS = {"percent-strain": "%", "mmHg": "mmHg", "um": "um",
@@ -49,6 +49,9 @@ class CalibrationModel:
     n_points: int
     y_min: float
     y_max: float
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

@@ -17,7 +17,7 @@ from .errors import CalibrationFailed, DomainError, require_positive
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
                        LoopGeometry, Rest, SubstrateStack, apply_strain,
                        strain_of)
-from .jsonio import load_json
+from .jsonio import check_fields, load_json
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 VACUUM_PERMEABILITY = 4.0e-7 * math.pi  # H/m
@@ -209,6 +209,7 @@ class ModelCalibration:
     loss_R: float
 
     def __post_init__(self):
+        check_fields(self)
         require_positive(self, "eff_permittivity_scale", "parasitic_C_offset",
                          "ide_finger_count", "ide_finger_length", "loss_R")
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, OutOfModelRange, require_positive
-from .jsonio import from_dict
+from .jsonio import check_fields, from_dict
 
 # Validity window of the small-strain kinematic model.
 MAX_ABS_STRAIN = 0.5
@@ -39,6 +39,7 @@ class SubstrateStack:
     metal_thickness: float = 30.0
 
     def __post_init__(self):
+        check_fields(self)
         require_positive(self, "base_thickness", "encapsulation_thickness",
                          "metal_thickness")
         for name in ("substrate_rel_permittivity", "medium_rel_permittivity"):
@@ -60,6 +61,7 @@ class IdeGeometry:
     gap: float = 30.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.finger_count < 2:
             raise DomainError(f"finger_count must be >= 2, got {self.finger_count}")
         require_positive(self, "finger_length", "trace_width", "gap")
@@ -81,6 +83,7 @@ class LoopGeometry:
     axis_scale: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         require_positive(self, "outer_side")
         if self.turns < 1:
             raise DomainError(f"turns must be >= 1, got {self.turns}")
@@ -109,6 +112,7 @@ class DeviceGeometry:
     poisson_ratio: float = DEFAULT_POISSON_RATIO
 
     def __post_init__(self):
+        check_fields(self)
         require_positive(self, "rest_length")
         if not 0.0 <= self.poisson_ratio < 0.5 + 1e-12:
             raise DomainError(

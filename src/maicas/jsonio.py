@@ -9,8 +9,8 @@ geometry and experiment configs. The keys must be exactly the dataclass
 fields, numeric fields must be finite JSON numbers (integers too must lie
 within the float range, since the model computes with them as floats), and
 any other shape raises DomainError naming the document and the field.
-ExperimentConfig applies the same per-field rule (_field) when it is built
-in Python, and S11Sweep the same integer rule to n_points.
+Each of these documents applies the same per-field rule when it is built in
+Python (check_fields), and S11Sweep the same integer rule to n_points.
 """
 
 from __future__ import annotations
@@ -113,6 +113,14 @@ def from_dict(cls, obj, what: str, *, partial: bool = False):
                   for name in names if name in obj})
 
 
+def check_fields(obj) -> None:
+    """Run from_dict's per-field rule on each field of dataclass instance
+    obj and store what it returns: numpy numbers become int or float."""
+    for name, hint in _type_hints(type(obj)).items():
+        object.__setattr__(obj, name,
+                           _field(hint, getattr(obj, name), name, False))
+
+
 def _field(hint, value, where: str, partial: bool):
     if hint is float:
         # float and int first: they skip the slower numbers.Real check
@@ -140,6 +148,8 @@ def _field(hint, value, where: str, partial: bool):
         return tuple(_field(item, v, f"{where}[{i}]", partial)
                      for i, v in enumerate(value))
     if dataclasses.is_dataclass(hint):
+        if isinstance(value, hint):  # built, so checked by its own class
+            return value
         return from_dict(hint, value, where, partial=partial)
     if not isinstance(value, hint):
         raise DomainError(f"{where}: expected {hint.__name__}, got {value!r}")

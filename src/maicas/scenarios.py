@@ -9,6 +9,7 @@ a target sensitivity and frozen.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ from .errors import (CalibrationFailed, DegenerateInput, DomainError,
                      GridTooCoarse, NoResonance)
 from .geometry import (MAX_ABS_STRAIN, DeviceGeometry, JointBend, Rest,
                        RolledDisplacement, RolledPressure, UniaxialStrain)
-from .jsonio import _field, _type_hints, load_json
+from .jsonio import check_fields, load_json
 from .readout import (ReaderCouple, S11Sweep, _check_grid, add_noise,
                       fit_reader, s11_spectrum)
 from .sweepio import write_touchstone
@@ -124,12 +125,7 @@ class ExperimentConfig:
     equivalent_storage: str = "16 days at 70 C ~ 1 year ambient"
 
     def __post_init__(self):
-        # the JSON loader's rule for each field but the nested dataclasses,
-        # which keep their own; it also stores numpy numbers as int or float
-        for name, hint in _type_hints(ExperimentConfig).items():
-            if name not in ("device", "calibration"):
-                object.__setattr__(self, name, _field(
-                    hint, getattr(self, name), name, False))
+        check_fields(self)
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
         grid = self.measurand_grid
@@ -485,12 +481,12 @@ def campaign_plan(config: ExperimentConfig) -> tuple[
     reader, the coupling and one clean sweep per grid point.
 
     None of it depends on seed, repeats, noise_sigma_db or min_depth_db, so
-    run_experiment passes the config with those four set to fixed values
-    and a seed or noise sweep in one process computes each plan once.
+    run_experiment passes a copy of the config with those four set to fixed
+    values and a seed or noise sweep in one process computes each plan once.
 
     The last 32 plans are kept, keyed by the repr of the config, so every
     other field stays in the key and values that compare equal but differ
-    (8 and 8.0, 0.0 and -0.0, also inside the device) never share a plan.
+    (0.0 and -0.0, also inside the device) never share a plan.
     A plan holds len(measurand_grid) * n_points float64 values (80 kB for
     a stock five-point, 2001-point campaign). A plan that raises is not
     kept and raises again on the next call.
@@ -522,8 +518,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     PCG64(SeedSequence((seed, gi, ri))), and the summary CSV is
     byte-identical across runs. The seed words of all repeats come from
     one vectorised pass of SeedSequence's hash (_seed_words)."""
-    cal, reader, coupling, cleans = campaign_plan(
-        replace(config, **_NOISE_FREE))
+    key = copy.copy(config)  # config is checked: no second construction
+    vars(key).update(_NOISE_FREE)
+    cal, reader, coupling, cleans = campaign_plan(key)
     seeds = map(_RepeatSeed, _seed_words(
         config.seed, len(config.measurand_grid), config.repeats))
     points = []

@@ -524,6 +524,21 @@ class TestFit:
         assert_one_error_line(capsys, "invert", "--model", str(model_path),
                               "--f0", f0)
 
+    def test_infinite_fit_is_one_error_line_and_no_file(self, capsys,
+                                                        tmp_path):
+        """A fit whose line overflows is refused as the model reader would
+        refuse it, before a model file is written."""
+        points = tmp_path / "p.csv"
+        points.write_text("x,y_hz\n0,0\n1e-160,1e300\n")
+        model_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--points", str(points),
+                                 "--unit", "mmHg", "--out", str(model_path))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "intercept: expected a finite number, got -inf"}
+        assert not model_path.exists()
+
     def test_overflowing_inversion_is_one_error_line(self, capsys, tmp_path):
         """A finite slope the strict loader accepts can still overflow the
         quotient; that is an error, not "Infinity"."""

@@ -12,8 +12,7 @@ from maicas import scenarios
 from maicas.circuit import calibrate_baseline
 from maicas.errors import (CalibrationFailed, DomainError, MaicasError,
                            OutOfModelRange)
-from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
-                             SubstrateStack)
+from maicas.geometry import DeviceGeometry, SubstrateStack
 from maicas.readout import fit_reader
 from maicas.scenarios import (MODES, default_config, fit_scenario_coupling,
                               run_experiment)
@@ -123,26 +122,15 @@ def test_other_fields_get_their_own_plan(spectra, fields):
 
 
 @pytest.mark.parametrize("a,b", [
-    pytest.param({"device": DeviceGeometry(ide=IdeGeometry(finger_count=8))},
-                 {"device": DeviceGeometry(ide=IdeGeometry(finger_count=8.0))},
-                 id="8-8.0"),
     pytest.param({"device": DeviceGeometry(poisson_ratio=0.0),
                   "strain_scale": 1.0},
                  {"device": DeviceGeometry(poisson_ratio=-0.0),
                   "strain_scale": 1.0},
                  id="0.0--0.0"),
-    pytest.param({"device": DeviceGeometry(loop=LoopGeometry(turns=1))},
-                 {"device": DeviceGeometry(loop=LoopGeometry(turns=1.0))},
-                 id="a2-b2"),
-    pytest.param({"device": DeviceGeometry(
-                      stack=SubstrateStack(metal_thickness=30.0))},
-                 {"device": DeviceGeometry(
-                      stack=SubstrateStack(metal_thickness=30))},
-                 id="a3-b3"),
 ])
 def test_equal_arguments_that_differ_get_their_own_entries(spectra, a, b):
-    """Configs that compare equal but differ inside the device (8.0 for 8,
-    -0.0 for 0.0) get a plan each, and the first keeps its own."""
+    """Configs that compare equal but differ inside the device (-0.0 for
+    0.0) get a plan each, and the first keeps its own."""
     first, second = fresh_config(602.0, **a), fresh_config(602.0, **b)
     assert first == second
     run_experiment(first)
@@ -151,6 +139,43 @@ def test_equal_arguments_that_differ_get_their_own_entries(spectra, a, b):
     assert len(spectra) == before + len(second.measurand_grid)
     run_experiment(replace(first, seed=5))
     assert len(spectra) == before + len(second.measurand_grid)
+
+
+def test_an_int_for_a_float_field_shares_the_plan(spectra):
+    """An int given for a float field is stored as a float, so the config
+    is the one built with the float, and the two share a plan."""
+    first = fresh_config(603.0, device=DeviceGeometry(
+        stack=SubstrateStack(metal_thickness=30.0)))
+    second = fresh_config(603.0, device=DeviceGeometry(
+        stack=SubstrateStack(metal_thickness=30)))
+    assert repr(first) == repr(second)
+    run_experiment(first)
+    before = len(spectra)
+    run_experiment(second)
+    assert len(spectra) == before
+
+
+def test_a_warm_run_builds_no_config(spectra, monkeypatch):
+    """run_experiment keys its plan from a copy of the config it is given,
+    not from a second ExperimentConfig, so a warm run builds none."""
+    built = []
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    original = scenarios.ExperimentConfig.__post_init__
+    config = fresh_config(605.0)
+    run_experiment(config)
+    before = len(spectra)
+    monkeypatch.setattr(scenarios.ExperimentConfig, "__post_init__",
+                        counting)
+    warm = replace(config, seed=5)
+    assert len(built) == 1
+    run_experiment(warm)
+    run_experiment(config)
+    assert len(built) == 1
+    assert len(spectra) == before
 
 
 def test_failures_are_recomputed_not_kept(monkeypatch):

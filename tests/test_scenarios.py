@@ -1,8 +1,9 @@
+import functools
 import json
 import math
 import operator
 import struct
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from maicas.circuit import ModelCalibration, lumped_from_geometry
 from maicas.dsp import extract_resonance
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError,
                            GridTooCoarse, NoResonance)
-from maicas.geometry import DeviceGeometry
+from maicas.geometry import DeviceGeometry, LoopGeometry
 from maicas.readout import add_noise
 from maicas.scenarios import (MODE_SPECS, MODES, ExperimentConfig, _brentq,
                               _RepeatSeed, _seed_words, default_config,
@@ -49,6 +50,54 @@ SNAPSHOT_CONFIGS = {
             eff_permittivity_scale=1.234567890123, parasitic_C_offset=4.5e-13,
             ide_finger_count=9, ide_finger_length=3987.5, loss_R=6.25)),
 }
+
+# the config's nested documents, as attribute paths from a config holding
+# all of them
+_NESTED_CONFIG = SNAPSHOT_CONFIGS["calibrated"]()
+_DOCUMENTS = [("device",), ("device", "ide"), ("device", "loop"),
+              ("device", "stack"), ("calibration",)]
+
+
+def _scalar_paths(document):
+    """The paths of the fields of a nested document that hold no document
+    themselves."""
+    doc = functools.reduce(getattr, document, _NESTED_CONFIG)
+    return [document + (f.name,) for f in fields(doc)
+            if not is_dataclass(getattr(doc, f.name))]
+
+
+def _replaced(obj, path, value):
+    """obj with the field at path set to value, each document on the way
+    built again with replace."""
+    if not path:
+        return value
+    head, *rest = path
+    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value)})
+
+
+def assert_one_verdict(stock, path, value):
+    """Set the field at path to value in Python and in stock's JSON: both
+    are refused, the Python refusal naming the field, or both give the same
+    config, which survives to_json and from_json unchanged."""
+    obj = json.loads(stock.to_json())
+    *parents, name = path
+    functools.reduce(dict.__getitem__, parents, obj)[name] = value
+    # a numpy integer is written as the JSON integer it stands for
+    text = json.dumps(obj, default=operator.index)
+    try:
+        loaded = ExperimentConfig.from_json(text)
+    except DomainError:
+        loaded = None
+    try:
+        built = _replaced(stock, path, value)
+    except DomainError as exc:
+        # the loop's one check across fields names the turns, not the field
+        assert name in str(exc) or "do not fit" in str(exc)
+        assert loaded is None
+        return
+    assert loaded is not None
+    assert repr(loaded) == repr(built)
+    assert repr(ExperimentConfig.from_json(built.to_json())) == repr(built)
 
 
 def quiet_config(mode, device, cal, **overrides):
@@ -115,6 +164,13 @@ class TestConfigValidation:
         assert cfg == default_config("aging", seed=3, repeats=2, n_points=401)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
+    def test_nested_numpy_integers_are_stored_as_int(self):
+        loop = LoopGeometry(turns=np.int64(1))
+        assert type(loop.turns) is int
+        cfg = default_config("aging", device=DeviceGeometry(loop=loop))
+        assert repr(cfg) == repr(default_config("aging"))
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(_SCALAR_FIELDS), value=_FIELD_VALUES)
     def test_construction_refuses_exactly_what_from_json_refuses(self, name,
@@ -122,24 +178,27 @@ class TestConfigValidation:
         """Built in Python or read from JSON, a field value gets the same
         verdict; a refusal names the field, and a config that builds
         survives to_json and from_json unchanged."""
-        stock = default_config("aging")
-        obj = json.loads(stock.to_json())
-        obj[name] = value
-        # a numpy integer is written as the JSON integer it stands for
-        text = json.dumps(obj, default=operator.index)
-        try:
-            loaded = ExperimentConfig.from_json(text)
-        except DomainError:
-            loaded = None
-        try:
-            built = replace(stock, **{name: value})
-        except DomainError as exc:
-            assert name in str(exc)
-            assert loaded is None
-            return
-        assert loaded is not None
-        assert repr(loaded) == repr(built)
-        assert repr(ExperimentConfig.from_json(built.to_json())) == repr(built)
+        assert_one_verdict(default_config("aging"), (name,), value)
+
+    @pytest.mark.parametrize("document", _DOCUMENTS, ids=".".join)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=_FIELD_VALUES)
+    def test_nested_documents_refuse_exactly_what_from_json_refuses(
+            self, document, data, value):
+        """The same property for each field of each nested document."""
+        path = data.draw(st.sampled_from(_scalar_paths(document)))
+        assert_one_verdict(_NESTED_CONFIG, path, value)
+
+    @pytest.mark.parametrize("path,value", [
+        (("device", "ide", "finger_count"), 8.5),
+        (("device", "ide", "finger_length"), math.inf),
+        (("device", "rest_length"), math.nan),
+        (("device", "loop", "turns"), True),
+        (("calibration", "ide_finger_count"), 8.5),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_nested_fields_refuse_at_construction(self, path, value):
+        with pytest.raises(DomainError, match=path[-1]):
+            _replaced(_NESTED_CONFIG, path, value)
 
     def test_json_round_trip(self, baseline_cal):
         cfg = default_config("graft_pressure", seed=7, repeats=3,

@@ -933,9 +933,9 @@ class TestGateway:
             self, sweep_pool, pressure_model, tmp_path, monkeypatch, sleeps):
         # only the connect is timed: a server that paces its frames more
         # slowly than the connect timeout keeps its one session
-        monkeypatch.setattr(telemetry, "CONNECT_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(telemetry, "CONNECT_TIMEOUT_S", 0.1)
         frames = frames_from_sweeps(sweep_pool[:3])
-        server, _ = start_server(frames, port=0, frame_interval_s=0.5)
+        server, _ = start_server(frames, port=0, frame_interval_s=0.25)
         try:
             stats = gateway("127.0.0.1", server.server_address[1],
                             pressure_model, tmp_path / "live.ndjson",
