@@ -212,6 +212,9 @@ class ModelCalibration:
         check_fields(self)
         require_positive(self, "eff_permittivity_scale", "parasitic_C_offset",
                          "ide_finger_count", "ide_finger_length", "loss_R")
+        if self.ide_finger_count < 2:  # the fewest fingers an IdeGeometry has
+            raise DomainError(
+                f"ide_finger_count must be >= 2, got {self.ide_finger_count}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -285,9 +288,9 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
     """
     from . import readout  # deferred: readout imports this module's types
 
-    if target_f0 <= 0:
+    if not 0 < target_f0 < math.inf:  # NaN fails too
         raise DomainError(f"target_f0 must be > 0, got {target_f0}")
-    if target_depth_db >= 0:
+    if not target_depth_db < 0:
         raise DomainError(
             f"target_depth_db must be < 0 dB, got {target_depth_db}")
 

@@ -6,20 +6,11 @@ refinement on the raw samples around that index. Dip depth is measured
 against the median of the smoothed sweep.
 
 The medians (baseline and the noise MAD) are taken by partitioning at
-fixed ranks. They are exact np.median equivalents: the middle value for
-odd lengths, the mean of the two middle values for even lengths, equal to
-np.median bit for bit. NaN propagates: a sweep holding a NaN gives a NaN
-median, as with np.median. The NaN scans behind that run only when the
-smoothed trace is not finite, and one sample of it tells: the one at the
-argmin. argmin returns the first NaN when there is one; a passive
-S11Sweep holds no +inf, and finite samples at most 1e-9 cannot sum to
-+inf, so the trace holds no +inf either. So the value at the argmin is
-finite exactly when every value of the trace is. A finite trace means
-finite samples, since every sample weighs into it. Passive finite samples
-lie between the most negative float and 1e-9, so the residual (sample
-minus trace) is finite too, and its deviations from their median can
-overflow to infinity but never turn NaN. So the scans could not find
-anything.
+fixed ranks. They are exact np.median equivalents for NaN-free input: the
+middle value for odd lengths, the mean of the two middle values for even
+lengths, equal to np.median bit for bit. They do not scan for NaN: argmin
+returns the first NaN, so a sweep holding one has a NaN at the argmin and
+a NaN depth and SNR whatever the medians give.
 
 The residual is formed only after the depth and endpoint tests and a
 -inf test. A -inf sample makes the trace -inf around it and the residual
@@ -84,10 +75,10 @@ def _smooth(mags: np.ndarray) -> np.ndarray:
     return np.correlate(padded, _KERNEL, mode="valid")
 
 
-def _median(values: np.ndarray, *, nan_free: bool = False) -> np.float64:
+def _median(values: np.ndarray) -> np.float64:
     """np.median of a nonempty 1-D float64 array without its dispatch
-    overhead: the same bits for NaN-free input, NaN for input with a NaN.
-    nan_free=True skips the NaN scan; the caller vouches for the input.
+    overhead: the same bits for NaN-free input. Input with a NaN gives an
+    unspecified value; the caller decides what it means.
 
     values is partitioned in place: its order is lost, its values stay.
     A caller that still reads the array in order afterwards passes a copy.
@@ -96,8 +87,6 @@ def _median(values: np.ndarray, *, nan_free: bool = False) -> np.float64:
     a -0.0 result into 0.0, so the result does not depend on which of two
     tied signed zeros a partition puts at the middle rank.
     """
-    if not nan_free and np.isnan(values).any():
-        return np.float64(np.nan)
     k = values.size // 2
     if values.size % 2:
         values.partition(k)
@@ -128,16 +117,15 @@ def extract_resonance(sweep: S11Sweep,
     raw = sweep.magnitude_db
     smoothed = _smooth(raw)
     i = int(smoothed.argmin())  # argmin takes the first (lowest) frequency
-    nan_free = math.isfinite(smoothed[i])
     # a copy: the residual below still reads smoothed in order
-    baseline = float(_median(smoothed.copy(), nan_free=nan_free))
+    baseline = float(_median(smoothed.copy()))
     depth = baseline - float(smoothed[i])
     if depth < min_depth_db:
         raise NoResonance(
             f"dip depth {depth:.2f} dB below threshold {min_depth_db:.2f} dB")
     if i == 0 or i == sweep.n_points - 1:
         raise GridTooCoarse("dip sits on a sweep endpoint; widen the grid")
-    if not nan_free and np.fmin.reduce(raw) == -math.inf:
+    if not math.isfinite(smoothed[i]) and np.fmin.reduce(raw) == -math.inf:
         raise DomainError("sweep holds a -inf dB sample")
 
     step = (sweep.f_stop - sweep.f_start) / (sweep.n_points - 1)
@@ -146,9 +134,9 @@ def extract_resonance(sweep: S11Sweep,
     f0_hat = sweep.f_start + (i + (delta if refined else 0.0)) * step
 
     residual = raw - smoothed
-    centre = _median(residual, nan_free=nan_free)
+    centre = _median(residual)
     residual -= centre
-    mad = float(_median(np.abs(residual, out=residual), nan_free=nan_free))
+    mad = float(_median(np.abs(residual, out=residual)))
     sigma_hat = max(1.4826 * mad, 1e-12)
     return ResonanceEstimate(
         f0_hat=float(f0_hat),

@@ -93,8 +93,9 @@ class LoopGeometry:
                           + (self.turns - 1) * self.turn_spacing)
         if metal_span >= self.outer_side * 1000.0:
             raise DomainError(
-                f"{self.turns} turns of width {self.trace_width} μm do not fit "
-                f"in an outer side of {self.outer_side} mm")
+                f"turns = {self.turns} of trace_width = {self.trace_width} μm "
+                f"and turn_spacing = {self.turn_spacing} μm do not fit in "
+                f"outer_side = {self.outer_side} mm")
 
 
 @dataclass(frozen=True)

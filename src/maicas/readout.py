@@ -179,7 +179,7 @@ def fit_reader(circuit: LumpedCircuit,
     resistance to a coupling coefficient, then polish the coupling with a
     secant iteration against the actually realized dip depth.
     """
-    if target_depth_db >= 0:
+    if not target_depth_db < 0:  # NaN fails too
         raise DomainError(
             f"target_depth_db must be < 0 dB, got {target_depth_db}")
     z0 = PORT_IMPEDANCE_OHM

@@ -217,6 +217,13 @@ class TestModelCalibration:
         with pytest.raises(DomainError):
             ModelCalibration(1.0, -1e-15, 8, 4000.0, 5.0)
 
+    def test_one_finger_is_refused_by_name(self):
+        """The calibration's finger count obeys IdeGeometry's floor, so a
+        plan never fails on a field the document does not have."""
+        with pytest.raises(DomainError,
+                           match="^ide_finger_count must be >= 2, got 1$"):
+            ModelCalibration(1.0, 1e-13, 1, 1000.0, 5.0)
+
 
 class TestLumpedFromGeometry:
     def test_calibration_overrides_nominal_fingers(self, device, baseline_cal):
@@ -262,6 +269,17 @@ class TestCalibrateBaseline:
             calibrate_baseline(device, -1.0)
         with pytest.raises(DomainError):
             calibrate_baseline(device, 1.71e9, target_depth_db=2.0)
+
+    @pytest.mark.parametrize("f0", [math.nan, math.inf])
+    def test_non_finite_f0_target_is_named(self, device, f0):
+        with pytest.raises(DomainError,
+                           match=f"^target_f0 must be > 0, got {f0}$"):
+            calibrate_baseline(device, f0)
+
+    def test_nan_depth_target_is_named(self, device):
+        with pytest.raises(DomainError,
+                           match="^target_depth_db must be < 0 dB, got nan$"):
+            calibrate_baseline(device, 1.71e9, math.nan)
 
     def test_deterministic(self, device, baseline_cal):
         assert calibrate_baseline(device, 1.71e9, -14.0) == baseline_cal

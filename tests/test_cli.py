@@ -606,6 +606,18 @@ class TestCalibrateBaseline:
         assert code == 0
         assert out == (SNAPSHOT_DIR / "calibrate_baseline_stock.txt").read_text()
 
+    @pytest.mark.parametrize("flag,value,target", [
+        ("--f0", "nan", "target_f0"),
+        ("--f0", "inf", "target_f0"),
+        ("--depth-db", "nan", "target_depth_db"),
+    ])
+    def test_non_finite_target_is_named(self, capsys, flag, value, target):
+        code, out, err = run_cli(capsys, "calibrate-baseline", flag, value)
+        assert (code, out, len(err.splitlines())) == (1, "", 1)
+        line = json.loads(err)
+        assert line["error"] == "DomainError"
+        assert line["message"].startswith(f"{target} must be ")
+
 
 class TestSimulate:
     def test_writes_artifacts_deterministically(self, capsys, tmp_path,

@@ -232,10 +232,14 @@ class TestReferenceEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(values=arrays(np.float64, st.integers(1, 60),
-                         elements=st.one_of(_LEVELS, _HOSTILE,
+                         elements=st.one_of(_LEVELS, st.just(-np.inf),
                                             st.just(np.inf),
                                             st.floats(allow_nan=False))))
     def test_median_is_numpy_median_bit_for_bit(self, values):
+        """The contract _median keeps: NaN-free input, ±inf, signed zeros
+        and ties included, gives np.median's bits. A sweep holding a NaN
+        never needs more: its depth and SNR are NaN whatever the medians
+        give."""
         with np.errstate(all="ignore"):
             assert (np.float64(_median(values)).tobytes()
                     == np.float64(np.median(values)).tobytes())
@@ -271,7 +275,8 @@ class TestShiftEquivariance:
 
 
 class TestKernelEdges:
-    """What the in-place medians and the one-sample NaN test must keep."""
+    """What the in-place medians and the one-sample non-finite test must
+    keep."""
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_minus_inf_at_the_low_end_is_grid_too_coarse(self, index):
@@ -316,8 +321,8 @@ class TestKernelEdges:
 
     @pytest.mark.parametrize("index", [0, 150, 399])
     def test_one_nan_anywhere_is_seen(self, index):
-        """A NaN away from the dip must still switch the NaN scans on: the
-        outcome, NaN figures included, is the reference's."""
+        """A NaN away from the dip is still seen: argmin stops at it, so
+        the outcome, NaN figures included, is the reference's."""
         mags = gaussian_dip(400, 200, 20.0)
         mags[index] = np.nan
         sweep = S11Sweep(1.0e9, 2.0e9, 400, mags)

@@ -67,6 +67,14 @@ def test_first_bad_loop_field_is_reported(kwargs, message):
     assert str(exc.value) == message
 
 
+def test_loop_that_does_not_fit_names_its_fields():
+    with pytest.raises(DomainError) as exc:
+        LoopGeometry(trace_width=1e6)
+    assert str(exc.value) == (
+        "turns = 1 of trace_width = 1000000.0 μm and turn_spacing = 30.0 μm "
+        "do not fit in outer_side = 10.0 mm")
+
+
 def test_valid_arguments_construct():
     for cls, kwargs, _ in POSITIVE_FIELDS:
         cls(**kwargs)

@@ -234,6 +234,11 @@ class TestFitReader:
         with pytest.raises(DomainError):
             fit_reader(rest_circuit, target_depth_db=0.5)
 
+    def test_nan_depth_is_named(self, rest_circuit):
+        with pytest.raises(DomainError,
+                           match="^target_depth_db must be < 0 dB, got nan$"):
+            fit_reader(rest_circuit, target_depth_db=math.nan)
+
     def test_impossible_depth_fails(self, rest_circuit):
         with pytest.raises((CalibrationFailed, DomainError)):
             fit_reader(rest_circuit, target_depth_db=-200.0)
