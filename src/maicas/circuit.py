@@ -288,9 +288,9 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
     """
     from . import readout  # deferred: readout imports this module's types
 
-    if not 0 < target_f0 < math.inf:  # NaN fails too
+    if not 0 < target_f0 < math.inf:  # NaN and inf fail too
         raise DomainError(f"target_f0 must be > 0, got {target_f0}")
-    if not target_depth_db < 0:
+    if not target_depth_db < 0:  # NaN fails too
         raise DomainError(
             f"target_depth_db must be < 0 dB, got {target_depth_db}")
 
