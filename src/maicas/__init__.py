@@ -21,8 +21,7 @@ from .errors import (BadMagic, CalibrationFailed, ChecksumMismatch,
                      OutOfModelRange, UnsupportedVersion)
 from .geometry import (DeviceGeometry, IdeGeometry, JointBend, LoopGeometry,
                        Rest, RolledDisplacement, RolledPressure,
-                       SubstrateStack, UniaxialStrain, apply_strain,
-                       strain_of)
+                       SubstrateStack, UniaxialStrain, strain_of)
 from .readout import (ReaderCouple, S11Sweep, add_noise, fit_reader,
                       input_impedance, s11_spectrum)
 from .scenarios import (ExperimentConfig, ExperimentResult, PointResult,

@@ -15,8 +15,7 @@ import json
 
 from .errors import CalibrationFailed, DomainError, require_positive
 from .geometry import (DeviceGeometry, DeformationState, IdeGeometry,
-                       LoopGeometry, Rest, SubstrateStack, apply_strain,
-                       strain_of)
+                       LoopGeometry, Rest, SubstrateStack, strain_of)
 from .jsonio import check_fields, load_json
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
@@ -254,20 +253,25 @@ def initial_calibration(device: DeviceGeometry) -> ModelCalibration:
 
 def lumped_from_geometry(device: DeviceGeometry, state: DeformationState,
                          cal: ModelCalibration) -> LumpedCircuit:
-    """Deform the calibrated geometry and extract the series tank."""
+    """Strain the calibrated geometry and extract the series tank.
+
+    The calibrated finger count and overlap replace the nominal ones, and
+    the state's effective strain ε deforms them: gaps open by (1+ε), finger
+    overlap shrinks by the Poisson contraction (1 − ν·ε), and the loop's
+    enclosed dimension along the strain axis scales by (1+ε). Metal trace
+    widths never change: copper is treated as inextensible relative to the
+    elastomer.
+    """
     eps = strain_of(state, device)
-    nominal = replace(
-        device,
-        ide=replace(device.ide,
-                    finger_count=cal.ide_finger_count,
-                    finger_length=cal.ide_finger_length),
-    )
-    deformed = apply_strain(nominal, eps)
+    ide = replace(device.ide, finger_count=cal.ide_finger_count,
+                  finger_length=cal.ide_finger_length
+                  * (1.0 - device.poisson_ratio * eps),
+                  gap=device.ide.gap * (1.0 + eps))
+    loop = replace(device.loop, axis_scale=device.loop.axis_scale * (1.0 + eps))
     capacitance = (cal.eff_permittivity_scale
-                   * ide_capacitance(deformed.ide, deformed.stack)
+                   * ide_capacitance(ide, device.stack)
                    + cal.parasitic_C_offset)
-    inductance = loop_inductance(deformed.loop)
-    return LumpedCircuit(inductance, capacitance, cal.loss_R)
+    return LumpedCircuit(loop_inductance(loop), capacitance, cal.loss_R)
 
 
 def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,

@@ -1,17 +1,17 @@
 """Parametric device geometry and deformation kinematics.
 
 Maps each physical scenario (uniaxial strain, luminal pressure, radial
-displacement, joint bend) onto an effective strain and realizes that strain
-as a deformed copy of the device geometry. Lengths are micrometres unless a
+displacement, joint bend) onto an effective strain, which the circuit
+module applies to the calibrated geometry. Lengths are micrometres unless a
 field says otherwise; loop sides and lumen diameters are millimetres.
 
-All types are immutable values; deformation never mutates the rest geometry.
+All types are immutable values; straining never mutates the rest geometry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, OutOfModelRange, require_positive
 from .jsonio import check_fields, from_dict
@@ -193,7 +193,7 @@ DeformationState = Rest | UniaxialStrain | RolledPressure | RolledDisplacement |
 def strain_of(state: DeformationState, device: DeviceGeometry) -> float:
     """Effective sensing-axis strain of a deformation state.
 
-    Raises OutOfModelRange when the state maps outside |ε| <= 0.5.
+    Raises OutOfModelRange when the state maps outside |ε| <= 0.5 or to NaN.
     """
     if isinstance(state, Rest):
         eps = 0.0
@@ -212,33 +212,10 @@ def strain_of(state: DeformationState, device: DeviceGeometry) -> float:
         eps = (state.effective_radius * 1000.0 * theta_rad) / device.rest_length
     else:
         raise DomainError(f"unknown deformation state {state!r}")
-    if abs(eps) > MAX_ABS_STRAIN:
+    if not abs(eps) <= MAX_ABS_STRAIN:  # NaN fails too
         raise OutOfModelRange(
             f"effective strain {eps:.4f} outside ±{MAX_ABS_STRAIN} validity window")
     return eps
-
-
-def apply_strain(device: DeviceGeometry, eps: float) -> DeviceGeometry:
-    """Deformed copy of the device under sensing-axis strain eps.
-
-    Gaps open by (1+ε), finger overlap shrinks by the Poisson contraction
-    (1 − ν·ε), and the loop's enclosed dimension along the strain axis
-    scales by (1+ε). Metal trace widths never change: copper is treated as
-    inextensible relative to the elastomer.
-    """
-    if abs(eps) > MAX_ABS_STRAIN:
-        raise OutOfModelRange(
-            f"strain {eps:.4f} outside ±{MAX_ABS_STRAIN} validity window")
-    if eps == 0.0:
-        return device
-    nu = device.poisson_ratio
-    ide = replace(
-        device.ide,
-        gap=device.ide.gap * (1.0 + eps),
-        finger_length=device.ide.finger_length * (1.0 - nu * eps),
-    )
-    loop = replace(device.loop, axis_scale=device.loop.axis_scale * (1.0 + eps))
-    return replace(device, ide=ide, loop=loop)
 
 
 def device_from_dict(obj: dict) -> DeviceGeometry:

@@ -80,10 +80,10 @@ class S11Sweep:
 
 def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
     """Complex impedance looking into the reader port. Accepts a scalar or
-    an array of frequencies in Hz."""
+    an array of frequencies in Hz, each 0 < f < inf."""
     f = np.asarray(frequency, dtype=np.float64)
-    if np.any(f <= 0):
-        raise DomainError("frequency must be > 0")
+    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
+        raise DomainError("frequency must be finite and > 0")
     w = 2.0 * math.pi * f
     mutual = reader.coupling_coefficient * math.sqrt(
         reader.reader_inductance * circuit.inductance)

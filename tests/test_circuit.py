@@ -18,7 +18,7 @@ from maicas.circuit import (FINGER_COUNT_MAX, FINGER_COUNT_MIN,
                             resonance_frequency)
 from maicas.errors import CalibrationFailed, DomainError
 from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
-                             Rest, UniaxialStrain)
+                             Rest, SubstrateStack, UniaxialStrain)
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -243,6 +243,25 @@ class TestLumpedFromGeometry:
         c1 = lumped_from_geometry(device, UniaxialStrain(0.1), baseline_cal)
         assert c1.capacitance < c0.capacitance
         assert c1.f0 > c0.f0
+
+    def test_a_strained_call_builds_two_documents(self, device, baseline_cal,
+                                                  monkeypatch):
+        """The strained bank and loop are the only documents a call
+        builds: no calibrated DeviceGeometry, no second copy of either."""
+        built = []
+
+        def counting(original):
+            def post_init(self):
+                built.append(type(self).__name__)
+                original(self)
+            return post_init
+
+        for cls in (IdeGeometry, LoopGeometry, SubstrateStack,
+                    DeviceGeometry, ModelCalibration):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counting(cls.__post_init__))
+        lumped_from_geometry(device, UniaxialStrain(0.1), baseline_cal)
+        assert sorted(built) == ["IdeGeometry", "LoopGeometry"]
 
 
 class TestCalibrateBaseline:

@@ -289,6 +289,8 @@ class TestInputBoundaries:
          "DomainError"),
         ("epicardial_strain", ("noise_sigma_db",), 8.98846567431158e307,
          "DegenerateInput"),
+        # (1e306 mm in μm) · 0 rad is a NaN strain at the 0° grid point
+        ("joint_bend", ("bend_radius",), 1e306, "OutOfModelRange"),
     ], ids=lambda v: ("/".join(v) if isinstance(v, tuple)
                       else "10**400" if v == 10 ** 400 else None))
     def test_extreme_config_value(self, capsys, tmp_path, baseline_cal,

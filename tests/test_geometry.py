@@ -4,11 +4,14 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
+from maicas import circuit
+from maicas.circuit import (ide_capacitance, loop_inductance,
+                            lumped_from_geometry)
 from maicas.errors import DomainError, OutOfModelRange
 from maicas.geometry import (DeviceGeometry, IdeGeometry, JointBend,
                              LoopGeometry, Rest, RolledDisplacement,
                              RolledPressure, SubstrateStack, UniaxialStrain,
-                             apply_strain, device_from_dict, strain_of)
+                             device_from_dict, strain_of)
 
 
 class TestValidation:
@@ -100,10 +103,13 @@ class TestStrainOf:
             JointBend(angle=121.0, effective_radius=2.0)
 
     def test_out_of_window_strain(self, device):
-        with pytest.raises(OutOfModelRange):
-            strain_of(UniaxialStrain(0.51), device)
-        with pytest.raises(OutOfModelRange):
-            strain_of(RolledPressure(3.18, 300.0, 2.0e-3), device)
+        for state in (UniaxialStrain(0.51),
+                      RolledPressure(3.18, 300.0, 2.0e-3),
+                      UniaxialStrain(math.nan),
+                      RolledPressure(3.18, math.nan, 1e-3),
+                      JointBend(0.0, 1e306)):  # (1e306 mm in μm) · 0 rad
+            with pytest.raises(OutOfModelRange, match="effective strain"):
+                strain_of(state, device)
 
     def test_window_boundary_inclusive(self, device):
         assert strain_of(UniaxialStrain(0.5), device) == 0.5
@@ -111,43 +117,87 @@ class TestStrainOf:
 
 
 class TestApplyStrain:
-    def test_zero_strain_identity(self, device):
-        assert apply_strain(device, 0.0) is device
+    """The strain rule, checked on the tank lumped_from_geometry builds
+    from the calibrated geometry: gaps ×(1+ε), overlap ×(1−νε), loop axis
+    ×(1+ε), widths and the calibrated finger count fixed."""
 
-    def test_gap_opens_with_strain(self, device):
-        strained = apply_strain(device, 0.2)
-        assert strained.ide.gap == pytest.approx(device.ide.gap * 1.2)
+    def test_zero_strain_identity(self, device, baseline_cal):
+        rest = lumped_from_geometry(device, Rest(), baseline_cal)
+        for eps in (0.0, -0.0):
+            assert lumped_from_geometry(
+                device, UniaxialStrain(eps), baseline_cal) == rest
 
-    def test_poisson_contraction_of_fingers(self, device):
-        strained = apply_strain(device, 0.2)
-        expected = device.ide.finger_length * (1.0 - 0.49 * 0.2)
-        assert strained.ide.finger_length == pytest.approx(expected)
+    def test_gap_opens_with_strain(self, baseline_cal):
+        # no Poisson contraction, so the overlap stays the calibrated one
+        device = DeviceGeometry(poisson_ratio=0.0)
+        rest = lumped_from_geometry(device, Rest(), baseline_cal)
+        strained = lumped_from_geometry(device, UniaxialStrain(0.2), baseline_cal)
+        ide = IdeGeometry(baseline_cal.ide_finger_count,
+                          baseline_cal.ide_finger_length,
+                          device.ide.trace_width, device.ide.gap * 1.2)
+        want = (baseline_cal.eff_permittivity_scale
+                * ide_capacitance(ide, device.stack)
+                + baseline_cal.parasitic_C_offset)
+        assert strained.capacitance == pytest.approx(want, rel=1e-12)
+        assert strained.capacitance < rest.capacitance
 
-    def test_loop_axis_scales(self, device):
-        strained = apply_strain(device, 0.2)
-        assert strained.loop.axis_scale == pytest.approx(1.2)
+    def test_poisson_contraction_of_fingers(self, baseline_cal):
+        # the bank's capacitance is linear in the overlap
+        state, offset = UniaxialStrain(0.2), baseline_cal.parasitic_C_offset
+        free = lumped_from_geometry(DeviceGeometry(poisson_ratio=0.0), state,
+                                    baseline_cal)
+        contracted = lumped_from_geometry(DeviceGeometry(), state, baseline_cal)
+        ratio = (contracted.capacitance - offset) / (free.capacitance - offset)
+        assert ratio == pytest.approx(1.0 - 0.49 * 0.2, rel=1e-9)
 
-    def test_widths_never_change(self, device):
-        strained = apply_strain(device, 0.3)
-        assert strained.ide.trace_width == device.ide.trace_width
-        assert strained.loop.trace_width == device.loop.trace_width
-        assert strained.ide.finger_count == device.ide.finger_count
+    def test_loop_axis_scales(self, device, baseline_cal):
+        rest = lumped_from_geometry(device, Rest(), baseline_cal)
+        strained = lumped_from_geometry(device, UniaxialStrain(0.2), baseline_cal)
+        want = loop_inductance(LoopGeometry(axis_scale=1.2))
+        assert strained.inductance == pytest.approx(want, rel=1e-12)
+        assert strained.inductance > rest.inductance
 
-    def test_window_enforced(self, device):
+    def test_widths_never_change(self, device, baseline_cal, monkeypatch):
+        seen = {}
+        ide_kernel, loop_kernel = circuit.ide_capacitance, circuit.loop_inductance
+        monkeypatch.setattr(circuit, "ide_capacitance", lambda ide, stack:
+                            ide_kernel(seen.setdefault("ide", ide), stack))
+        monkeypatch.setattr(circuit, "loop_inductance", lambda loop:
+                            loop_kernel(seen.setdefault("loop", loop)))
+        lumped_from_geometry(device, UniaxialStrain(0.3), baseline_cal)
+        assert seen["ide"].trace_width == device.ide.trace_width
+        assert seen["ide"].finger_count == baseline_cal.ide_finger_count
+        assert seen["ide"].finger_count != device.ide.finger_count
+        assert seen["loop"] == LoopGeometry(axis_scale=1.3)
+
+    def test_window_enforced(self, device, baseline_cal):
         with pytest.raises(OutOfModelRange):
-            apply_strain(device, 0.7)
+            lumped_from_geometry(device, UniaxialStrain(0.7), baseline_cal)
 
     @given(st.floats(min_value=-0.5, max_value=0.5))
-    def test_gap_scaling_exact(self, eps):
-        device = DeviceGeometry()
-        strained = apply_strain(device, eps)
-        assert strained.ide.gap == device.ide.gap * (1.0 + eps)
-        assert strained.loop.axis_scale == device.loop.axis_scale * (1.0 + eps)
+    def test_gap_scaling_exact(self, device, baseline_cal, eps):
+        """The tank is the kernels on the strained calibrated geometry,
+        bit for bit."""
+        cal = baseline_cal
+        tank = lumped_from_geometry(device, UniaxialStrain(eps), cal)
+        ide = IdeGeometry(
+            finger_count=cal.ide_finger_count,
+            finger_length=cal.ide_finger_length
+            * (1.0 - device.poisson_ratio * eps),
+            trace_width=device.ide.trace_width,
+            gap=device.ide.gap * (1.0 + eps))
+        loop = LoopGeometry(axis_scale=1.0 + eps)
+        want = (cal.eff_permittivity_scale * ide_capacitance(ide, device.stack)
+                + cal.parasitic_C_offset)
+        assert tank.capacitance.hex() == want.hex()
+        assert tank.inductance.hex() == loop_inductance(loop).hex()
 
-    @given(st.floats(min_value=-0.45, max_value=0.45))
-    def test_compression_closes_gap_but_stays_positive(self, eps):
-        strained = apply_strain(DeviceGeometry(), eps)
-        assert strained.ide.gap > 0
+    @given(st.floats(min_value=-0.45, max_value=-1e-9))
+    def test_compression_closes_gap_but_stays_positive(self, device,
+                                                       baseline_cal, eps):
+        rest = lumped_from_geometry(device, Rest(), baseline_cal)
+        strained = lumped_from_geometry(device, UniaxialStrain(eps), baseline_cal)
+        assert rest.capacitance < strained.capacitance < math.inf
 
 
 def test_device_dict_round_trip(device):

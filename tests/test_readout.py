@@ -42,6 +42,11 @@ class TestInputImpedance:
         vec = input_impedance(rest_circuit, reader, freqs)
         for f, z in zip(freqs, vec):
             assert z == pytest.approx(input_impedance(rest_circuit, reader, f))
+        # both forms refuse what _check_grid refuses: 0 < f < inf
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            for frequency in (bad, np.append(freqs, bad)):
+                with pytest.raises(DomainError, match="finite and > 0"):
+                    input_impedance(rest_circuit, reader, frequency)
 
     def test_zero_coupling_leaves_reader_alone(self, rest_circuit):
         bare = ReaderCouple(6e-9, 1.0, 0.0)
