@@ -78,19 +78,29 @@ class S11Sweep:
         return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
-def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
-    """Complex impedance looking into the reader port. Accepts a scalar or
-    an array of frequencies in Hz, each 0 < f < inf."""
-    f = np.asarray(frequency, dtype=np.float64)
-    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
-        raise DomainError("frequency must be finite and > 0")
+def _impedance(circuit: LumpedCircuit, reader: ReaderCouple,
+               f: np.ndarray) -> np.ndarray:
+    """input_impedance's arithmetic at the frequencies f, unchecked."""
     w = 2.0 * math.pi * f
     mutual = reader.coupling_coefficient * math.sqrt(
         reader.reader_inductance * circuit.inductance)
     z_tank = (circuit.resistance
               + 1j * (w * circuit.inductance - 1.0 / (w * circuit.capacitance)))
-    z = (reader.reader_resistance + 1j * w * reader.reader_inductance
-         + (w * mutual) ** 2 / z_tank)
+    return (reader.reader_resistance + 1j * w * reader.reader_inductance
+            + (w * mutual) ** 2 / z_tank)
+
+
+def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
+    """Complex impedance looking into the reader port. Accepts a scalar or
+    an array of frequencies in Hz; DomainError unless each is 0 < f < inf
+    and gives a finite impedance (1e300 Hz and 5e-324 Hz do not)."""
+    f = np.asarray(frequency, dtype=np.float64)
+    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
+        raise DomainError("frequency must be finite and > 0")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = _impedance(circuit, reader, f)
+    if not np.isfinite(z).all():
+        raise DomainError("impedance is not finite at this frequency")
     if np.isscalar(frequency):
         return complex(z)
     return z
@@ -103,7 +113,7 @@ def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
     Frequencies whose arithmetic overflows or underflows give NaN, so a
     campaign over such a grid ends in DegenerateInput, not a traceback."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = input_impedance(circuit, reader, f)
+        z = _impedance(circuit, reader, f)
         z0 = PORT_IMPEDANCE_OHM
         return 20.0 * np.log10(np.maximum(np.abs((z - z0) / (z + z0)), 1e-300))
 

@@ -35,18 +35,17 @@ import numpy as np
 
 from .calibration import CalibrationModel, invert
 from .dsp import extract_resonance
-from .errors import (BadMagic, ChecksumMismatch, DegenerateModel, DomainError,
-                     FrameError, GridTooCoarse, InvalidGrid, MalformedLength,
-                     NoResonance, UnsupportedVersion)
+from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
+                     InvalidGrid, MaicasError, MalformedLength,
+                     UnsupportedVersion)
 from .jsonio import read_text
-from .readout import S11Sweep
+from .readout import S11Sweep, _check_grid
 
 MAGIC = b"MAIC"
 PROTOCOL_VERSION = 1
 _HEADER = struct.Struct("<4sBQQddI")
 HEADER_SIZE = _HEADER.size  # 41
 _CRC = struct.Struct("<I")
-_N_POINTS_OFFSET = HEADER_SIZE - 4
 
 DEFAULT_PORT = 47917
 PORT_ENV_VAR = "MAICAS_PORT"
@@ -141,11 +140,10 @@ def decode_frame(buf: bytes) -> TelemetryFrame:
         raise MalformedLength(
             f"frame of {len(buf)} bytes does not match declared "
             f"n_points {n_points} ({expected} bytes)")
-    if n_points < 2:
-        raise InvalidGrid(f"n_points must be >= 2, got {n_points}")
-    if not (f_start > 0 and math.isfinite(f_start) and f_stop > f_start
-            and math.isfinite(f_stop)):
-        raise InvalidGrid(f"bad frequency grid [{f_start}, {f_stop}]")
+    try:
+        _check_grid(f_start, f_stop, n_points)
+    except DomainError as exc:
+        raise InvalidGrid(str(exc)) from None
     mags = np.frombuffer(buf, dtype="<f4", count=n_points,
                          offset=HEADER_SIZE).astype(np.float64)
     return TelemetryFrame(device_id, timestamp_us, f_start, f_stop,
@@ -162,7 +160,7 @@ def read_frame(stream) -> bytes | None:
     if len(header) < HEADER_SIZE:
         raise MalformedLength(
             f"stream ended inside a frame header ({len(header)} bytes)")
-    n_points = struct.unpack_from("<I", header, _N_POINTS_OFFSET)[0]
+    n_points = _HEADER.unpack(header)[-1]
     if n_points > MAX_STREAM_POINTS:
         raise MalformedLength(
             f"declared n_points {n_points} exceeds the stream cap")
@@ -253,6 +251,7 @@ def _snake_case(name: str) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
 
 
+@functools.lru_cache(maxsize=64)
 def _record_tail(unit: str, cal_id: str, quality: str,
                  error: str | None) -> str:
     """The end of a record line, from the key after measurand_value to the
@@ -277,10 +276,9 @@ def _json_number(value) -> str:
 
 def record_from_frame(raw: bytes, model: CalibrationModel, *,
                       cal_id: str) -> MeasurandRecord:
-    """Decode, extract and invert one frame into a log record. Decode,
-    extraction and inversion failures become no_resonance records instead
-    of raising; a frame that does not decode keeps device_id and
-    timestamp_us at 0.
+    """Decode, extract and invert one frame into a log record. Any package
+    error (MaicasError) these raise becomes a no_resonance record naming
+    it; a frame that does not decode keeps device_id and timestamp_us at 0.
 
     cal_id must be calibration_id_of(model), hashed once by the caller for
     all the frames it logs against the model.
@@ -291,8 +289,7 @@ def record_from_frame(raw: bytes, model: CalibrationModel, *,
         device_id, timestamp_us = frame.device_id, frame.timestamp_us
         estimate = extract_resonance(frame.sweep)
         inversion = invert(model, estimate.f0_hat)
-    except (FrameError, NoResonance, GridTooCoarse, DomainError,
-            DegenerateModel) as exc:
+    except MaicasError as exc:
         return MeasurandRecord(
             device_id=device_id, timestamp_us=timestamp_us, f0_hat_hz=None,
             measurand_value=None, measurand_unit=model.measurand_unit,
@@ -380,13 +377,13 @@ class _LogWriter:
     A record line is what json.dumps writes for the record's fields, error
     only when set. The string fields after the numbers (unit, calibration
     id, quality, error) repeat from record to record, so their JSON is
-    encoded once per combination and kept with the writer."""
+    encoded once per combination: _record_tail is an lru_cache shared by
+    all writers."""
 
     def __init__(self, path):
         self.path = Path(path)
         fresh = _prepare_append(self.path) == 0
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._tails: dict[tuple, str] = {}
         if fresh:
             self._write(_SCHEMA_LINE.decode())
 
@@ -395,17 +392,13 @@ class _LogWriter:
         self._fh.flush()
 
     def append(self, record: MeasurandRecord) -> None:
-        key = (record.measurand_unit, record.calibration_id, record.quality,
-               record.error)
-        tail = self._tails.get(key)
-        if tail is None:
-            tail = self._tails[key] = _record_tail(*key)
         self._write(
             f'{{"device_id": {_json_number(record.device_id)}, '
             f'"timestamp_us": {_json_number(record.timestamp_us)}, '
             f'"f0_hat_hz": {_json_number(record.f0_hat_hz)}, '
             f'"measurand_value": {_json_number(record.measurand_value)}, '
-            + tail)
+            + _record_tail(record.measurand_unit, record.calibration_id,
+                           record.quality, record.error))
 
     def close(self) -> None:
         self._fh.close()

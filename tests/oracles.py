@@ -9,7 +9,7 @@ these routes; the two sides share no formula code.
 The exceptions are reference_extract_resonance and reference_record_to_json:
 the dip extractor as it was before its medians and padding were rewritten
 for speed (np.pad + np.median), and the log record encoder as it was before
-the writer kept its JSON tails (a dict through json.dumps). Both are kept
+the writer reused its JSON tails (a dict through json.dumps). Both are kept
 verbatim so tests can require the fast versions to agree bit for bit.
 
 So are reference_ellipk and reference_brentq, the two scipy calls the

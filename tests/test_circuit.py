@@ -16,6 +16,7 @@ from maicas.circuit import (FINGER_COUNT_MAX, FINGER_COUNT_MIN,
                             ide_capacitance, initial_calibration,
                             loop_inductance, lumped_from_geometry,
                             resonance_frequency)
+from maicas import readout
 from maicas.errors import CalibrationFailed, DomainError
 from maicas.geometry import (DeviceGeometry, IdeGeometry, LoopGeometry,
                              Rest, SubstrateStack, UniaxialStrain)
@@ -299,3 +300,39 @@ class TestCalibrateBaseline:
 
     def test_deterministic(self, device, baseline_cal):
         assert calibrate_baseline(device, 1.71e9, -14.0) == baseline_cal
+
+    @pytest.fixture()
+    def reader_fits(self, monkeypatch):
+        """Every circuit readout.fit_reader is called with, in call order."""
+        calls = []
+        real = readout.fit_reader
+
+        def counting(circuit, target_depth_db):
+            calls.append(circuit)
+            return real(circuit, target_depth_db)
+
+        monkeypatch.setattr(readout, "fit_reader", counting)
+        return calls
+
+    def test_recentres_the_coupled_dip(self, reader_fits):
+        """A 5 mm loop's first dip misses the target: one recentring step
+        pulls the tank so the coupled dip, not the bare tank, sits on it."""
+        device = DeviceGeometry(loop=LoopGeometry(outer_side=5.0))
+        cal = calibrate_baseline(device, 1.71e9, -14.0)
+        assert len(reader_fits) == 2
+        circuit = lumped_from_geometry(device, Rest(), cal)
+        f_dip, depth = readout.dip_of(circuit,
+                                      readout.fit_reader(circuit, -14.0))
+        assert f_dip == pytest.approx(1_710_000_452, abs=1.0)
+        assert depth == pytest.approx(-14.002, abs=5e-4)
+        assert circuit.f0 == pytest.approx(1_709_204_123, abs=1.0)
+
+    def test_recentring_stops_when_the_tank_drifts(self, reader_fits):
+        """At 0.3 GHz / -3 dB the centred dip leaves the tank more than
+        1 MHz off target: the fit stops there instead of using all four
+        rounds."""
+        device = DeviceGeometry(loop=LoopGeometry(outer_side=5.0))
+        with pytest.raises(CalibrationFailed, match=(
+                r"^baseline fit did not converge to 3e\+08 Hz / -3 dB$")):
+            calibrate_baseline(device, 0.3e9, -3.0)
+        assert len(reader_fits) == 2

@@ -47,6 +47,10 @@ class TestInputImpedance:
             for frequency in (bad, np.append(freqs, bad)):
                 with pytest.raises(DomainError, match="finite and > 0"):
                     input_impedance(rest_circuit, reader, frequency)
+        # finite frequencies whose arithmetic overflows or divides by zero
+        for extreme in (1e300, 1e-300, 5e-324, np.append(freqs, 1e300)):
+            with pytest.raises(DomainError, match="impedance is not finite"):
+                input_impedance(rest_circuit, reader, extreme)
 
     def test_zero_coupling_leaves_reader_alone(self, rest_circuit):
         bare = ReaderCouple(6e-9, 1.0, 0.0)

@@ -469,6 +469,13 @@ class TestRunExperiment:
         assert result.coupling == pytest.approx(1.45, abs=0.05)
         assert abs(result.summary.slope - 2.9e6) <= 0.3e6
 
+    def test_in_band_natural_slope_keeps_unit_coupling(self):
+        # at 3 GHz the natural gap response, 3.04 MHz/%, is within the
+        # 0.3 MHz/% band of 2.9 MHz/%, so no coupling is fitted
+        cfg = default_config("epicardial_strain", target_f0=3.0e9,
+                             f_start=2.8e9, f_stop=3.3e9, repeats=2)
+        assert run_experiment(cfg).coupling == 1.0
+
     def test_graft_defaults_hit_nominal_sensitivity(self, device,
                                                     baseline_cal):
         result = run_experiment(

@@ -22,7 +22,7 @@ from maicas import telemetry
 from maicas.calibration import fit_linear
 from maicas.errors import (BadMagic, ChecksumMismatch, DomainError,
                            FrameError, InvalidGrid, MalformedLength,
-                           UnsupportedVersion)
+                           OutOfModelRange, UnsupportedVersion)
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
 from maicas.telemetry import (HEADER_SIZE, LOG_SCHEMA, MAGIC,
                               MAX_STREAM_POINTS, GatewayStats,
@@ -203,6 +203,7 @@ class TestCorruption:
         {"f_start": -1.0e9},                     # negative start
         {"f_start": 2.0e9, "f_stop": 1.5e9},     # inverted span
         {"f_start": float("nan")},               # non-finite
+        {"f_stop": float("inf")},                # infinite stop
     ])
     def test_grid_sanity_with_valid_checksum(self, kwargs):
         with pytest.raises(InvalidGrid):
@@ -391,6 +392,20 @@ class TestRecords:
         assert counts == {"ok": 0, "extrapolated": 0, "no_resonance": 3}
         assert [r["error"] for r in read_log(log)] == ["degenerate_model"] * 3
 
+    def test_any_package_error_is_a_record(self, sweep_pool, pressure_model,
+                                           monkeypatch):
+        """A package error outside the ones decode, extract and invert
+        raise today still becomes a record naming it."""
+        def refuse(model, f0):
+            raise OutOfModelRange("outside the model")
+
+        monkeypatch.setattr(telemetry, "invert", refuse)
+        record = record_of(encode_frame(5, 99, sweep_pool[0]), pressure_model)
+        assert record.quality == "no_resonance"
+        assert record.error == "out_of_model_range"
+        assert (record.device_id, record.timestamp_us) == (5, 99)
+        assert record.f0_hat_hz is None
+
     def test_flat_sweep_record(self, pressure_model):
         flat = S11Sweep(1.5e9, 2.0e9, 64, np.full(64, -2.0))
         record = record_of(encode_frame(1, 1, flat), pressure_model)
@@ -536,7 +551,7 @@ class TestRecordLines:
     @settings(max_examples=300, deadline=None)
     @given(batch=st.lists(_RECORDS, min_size=1, max_size=6))
     def test_lines_match_reference_encoder(self, batch):
-        batch = batch + batch[::-1]  # repeats reuse the writer's tails
+        batch = batch + batch[::-1]  # repeats reuse the cached tails
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.ndjson"
             writer = _LogWriter(path)
