@@ -235,7 +235,6 @@ LOSS_R_OHM = 5.0          # series loss of every baseline calibration
 FINGER_COUNT_MIN, FINGER_COUNT_MAX = 4, 64
 FINGER_LENGTH_MIN_UM, FINGER_LENGTH_MAX_UM = 200.0, 8000.0
 FINGER_LENGTH_PIVOT_UM = 1000.0  # preferred overlap scale
-PERMITTIVITY_SCALE_MIN, PERMITTIVITY_SCALE_MAX = 0.5, 2.0
 OFFSET_FRACTION = 0.05  # parasitic share of total C
 
 
@@ -333,10 +332,6 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
             replace(device.ide, finger_count=count, finger_length=length),
             device.stack)
         scale = c_ide_target / c_raw
-        if not PERMITTIVITY_SCALE_MIN <= scale <= PERMITTIVITY_SCALE_MAX:
-            raise CalibrationFailed(
-                f"permittivity scale {scale:.4f} outside bounds",
-                residual=abs(f_identity - target_f0))
         return ModelCalibration(
             eff_permittivity_scale=scale,
             parasitic_C_offset=offset,

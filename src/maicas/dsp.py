@@ -3,7 +3,12 @@
 Pipeline: 5-point moving average (reflect padding), global minimum of the
 smoothed trace with the lowest-frequency tie break, then a 3-point parabolic
 refinement on the raw samples around that index. Dip depth is measured
-against the median of the smoothed sweep.
+against the median of the smoothed sweep. A dip whose snr_estimate is
+below MIN_SNR is one the noise alone could have made: NoResonance. The
+floor tells noise from a dip on sweeps of 201 points or more. On fewer
+points the MAD of the residual can come out near 0, so pure noise can
+read any SNR (1e15 on 7 to 41 points clamped at 0 dB), and no constant
+floor refuses it.
 
 The medians (baseline and the noise MAD) are taken by partitioning at
 fixed ranks. They are exact np.median equivalents for NaN-free input: the
@@ -33,6 +38,7 @@ from .readout import S11Sweep, vertex_offset
 
 SMOOTHING_WINDOW = 5
 MIN_DEPTH_DB = 3.0
+MIN_SNR = 10.0  # half-clamped noise on 201 points read under 8 in 2e6 draws
 
 _HALF_WINDOW = SMOOTHING_WINDOW // 2
 _KERNEL = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
@@ -106,7 +112,8 @@ def extract_resonance(sweep: S11Sweep,
     """Locate the reflection dip.
 
     Raises NoResonance when the dip does not clear min_depth_db below the
-    sweep median, GridTooCoarse when the minimum sits on a sweep endpoint,
+    sweep median or its snr_estimate is below MIN_SNR (a NaN SNR is not
+    refused), GridTooCoarse when the minimum sits on a sweep endpoint,
     and DomainError for sweeps shorter than the smoothing window or
     holding a -inf sample that is not such an endpoint dip.
     """
@@ -138,9 +145,12 @@ def extract_resonance(sweep: S11Sweep,
     residual -= centre
     mad = float(_median(np.abs(residual, out=residual)))
     sigma_hat = max(1.4826 * mad, 1e-12)
+    snr = depth / sigma_hat
+    if snr < MIN_SNR:  # NaN passes: a NaN sweep is not refused here
+        raise NoResonance(f"dip SNR {snr:.2f} below floor {MIN_SNR:.2f}")
     return ResonanceEstimate(
         f0_hat=float(f0_hat),
         depth_db=depth,
-        snr_estimate=depth / sigma_hat,
+        snr_estimate=snr,
         refined=refined,
     )

@@ -1,15 +1,17 @@
 """Sweep serialization: one-port Touchstone and plain CSV.
 
 Both formats round-trip the grid and magnitudes at full float64 precision
-(values are written with shortest round-trip repr). A sweep that read_sweep
-would refuse, such as one with a non-finite sample, is refused before its
-file is opened. Touchstone files carry a phase column for format compliance;
-it is written as 0.0 and ignored on read because the twin models magnitude
-only.
+(values are written with shortest round-trip repr). The frequency column's
+text is kept for the last grid written, so a run of files on one grid
+formats it once. A sweep that read_sweep would refuse, such as one with a
+non-finite sample, is refused before its file is opened. Touchstone files
+carry a phase column for format compliance; it is written as 0.0 and
+ignored on read because the twin models magnitude only.
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +40,18 @@ def _sweep_from_columns(freqs: np.ndarray, mags: np.ndarray, source: str) -> S11
     return S11Sweep(float(freqs[0]), float(freqs[-1]), int(freqs.size), mags)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _grid_text(f_start, f_stop, n_points: int) -> tuple[str, ...]:
+    """repr of each frequency on the grid. typed: a float32 grid's linspace
+    can differ from that of the equal float64 endpoints."""
+    return tuple(map(repr, np.linspace(f_start, f_stop, n_points).tolist()))
+
+
 def _write(sweep: S11Sweep, path, head: list[str], sep: str, tail: str = "") -> None:
-    freqs, mags = sweep.frequencies, sweep.magnitude_db
-    _sweep_from_columns(freqs, mags, f"cannot write {path}")
-    rows = [f"{f!r}{sep}{m!r}{tail}" for f, m in zip(freqs.tolist(), mags.tolist())]
+    mags = sweep.magnitude_db
+    _sweep_from_columns(sweep.frequencies, mags, f"cannot write {path}")
+    grid = _grid_text(sweep.f_start, sweep.f_stop, sweep.n_points)
+    rows = [f"{f}{sep}{m!r}{tail}" for f, m in zip(grid, mags.tolist())]
     Path(path).write_text("\n".join([*head, *rows]) + "\n")
 
 

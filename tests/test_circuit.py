@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from maicas.circuit import (FINGER_COUNT_MAX, FINGER_COUNT_MIN,
                             FINGER_LENGTH_MAX_UM, FINGER_LENGTH_MIN_UM,
-                            PERMITTIVITY_SCALE_MAX, PERMITTIVITY_SCALE_MIN,
                             LumpedCircuit, ModelCalibration, _ellipk, _ellpk,
                             calibrate_baseline,
                             ide_capacitance, initial_calibration,
@@ -272,7 +271,9 @@ class TestCalibrateBaseline:
     def test_parameters_inside_bounds(self, baseline_cal):
         assert FINGER_COUNT_MIN <= baseline_cal.ide_finger_count <= FINGER_COUNT_MAX
         assert FINGER_LENGTH_MIN_UM <= baseline_cal.ide_finger_length <= FINGER_LENGTH_MAX_UM
-        assert PERMITTIVITY_SCALE_MIN <= baseline_cal.eff_permittivity_scale <= PERMITTIVITY_SCALE_MAX
+        # the capacitance is linear in finger length, so the length absorbs
+        # the target and the scale is 1 up to rounding
+        assert abs(baseline_cal.eff_permittivity_scale - 1.0) <= 1e-12
 
     def test_fixed_point_keeps_initial_parameters(self, device):
         identity = initial_calibration(device)

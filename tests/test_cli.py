@@ -85,6 +85,33 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "FileNotFoundError"
 
 
+class TestArgumentRefusals:
+    """Argument combinations main() refuses before it reads or writes a
+    file: exit 1 with one JSON line naming DomainError."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "--out", "{tmp}/run"),
+         "one of --config or --mode is required"),
+        (("serve", "--frames", "{tmp}/x.bin", "--mode", "aging", "--port", "0"),
+         "--frames and --config/--mode are mutually exclusive; pass either "
+         "a recorded dump or an experiment to synthesize"),
+        (("replay", "--frames", "{tmp}/x.bin", "--mode", "aging",
+          "--out", "{tmp}/y.bin"),
+         "--frames and --config/--mode are mutually exclusive; pass either "
+         "a recorded dump or an experiment to synthesize"),
+        (("replay", "--frames", "{tmp}/x.bin", "--log", "{tmp}/x.ndjson"),
+         "--log requires --model for inversion"),
+    ])
+    def test_refused(self, capsys, tmp_path, argv, message):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "DomainError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
+
 DEFECTS = ("malformed", "missing_key", "unknown_key", "non_numeric")
 
 
@@ -662,6 +689,22 @@ class TestSimulate:
         assert code == 0
         files = sorted((tmp_path / "run" / "sweeps").glob("*.s1p"))
         assert len(files) == 5
+
+    def test_noise_far_above_the_dip_is_no_measurement(
+            self, capsys, tmp_path, baseline_cal, device):
+        """Every repeat is pure noise to the extractor, whose SNR floor
+        refuses it, so no point is left to fit."""
+        cfg_path = tmp_path / "config.json"
+        from maicas.scenarios import default_config
+        cfg_path.write_text(default_config(
+            "graft_pressure", device=device, calibration=baseline_cal,
+            repeats=2, n_points=201, noise_sigma_db=1e300).to_json())
+        code, out, err = run_cli(capsys, "simulate", "--config",
+                                 str(cfg_path), "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "DegenerateInput",
+                                   "message": "need at least 2 points, got 0"}
 
     def test_config_and_mode_are_exclusive(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", "x.json",

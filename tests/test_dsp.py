@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from maicas.dsp import (MIN_DEPTH_DB, SMOOTHING_WINDOW, _median,
+from maicas.dsp import (MIN_DEPTH_DB, MIN_SNR, SMOOTHING_WINDOW, _median,
                         extract_resonance)
 from maicas.errors import DomainError, GridTooCoarse, NoResonance
 from maicas.readout import S11Sweep, add_noise, dip_of, s11_spectrum
@@ -87,6 +87,33 @@ class TestSnrEstimate:
         """add_noise clips samples above 0 dB, which narrows the residual."""
         assert noise_reading(401, 401 / 10, 1.0, -0.5) < 0.85
         assert noise_reading(401, 401 / 10, 0.5, 0.0) < 0.75
+
+
+class TestSnrFloor:
+    """A dip the noise alone could have made is not a measurement: an
+    snr_estimate below MIN_SNR is NoResonance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(201, 2001), sigma=st.floats(1e-3, 1e300),
+           baseline=st.floats(-100.0, 0.0), seed=st.integers(0, 2**64 - 1))
+    def test_white_noise_is_never_accepted(self, n, sigma, baseline, seed):
+        """add_noise clamps at 0 dB, so a sigma far above the baseline
+        clamps half the samples: the noise whose SNR reads highest. On
+        fewer points the floor is no guarantee (see the dsp docstring)."""
+        flat = S11Sweep(1.5e9, 2.0e9, n, np.full(n, baseline))
+        with pytest.raises((NoResonance, GridTooCoarse)):
+            extract_resonance(add_noise(flat, sigma, seed))
+
+    def test_floor_is_exclusive(self, monkeypatch, rest_circuit, reader):
+        sweep = add_noise(
+            s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 401), 1.0, 3)
+        snr = extract_resonance(sweep).snr_estimate
+        assert snr >= MIN_SNR
+        monkeypatch.setattr("maicas.dsp.MIN_SNR", snr)
+        assert extract_resonance(sweep).snr_estimate == snr
+        monkeypatch.setattr("maicas.dsp.MIN_SNR", np.nextafter(snr, np.inf))
+        with pytest.raises(NoResonance, match="below floor"):
+            extract_resonance(sweep)
 
 
 class TestTieBreakAndRefinement:
@@ -207,18 +234,21 @@ def outcome(extract, sweep):
 
 class TestReferenceEquivalence:
     """The extractor against the np.pad + np.median reference it replaced:
-    identical estimates, down to the last bit, or the same exception. The
-    one departure: where the reference returns an estimate for a sweep
-    holding -inf, the extractor raises DomainError."""
+    identical estimates, down to the last bit, or the same exception. Two
+    departures, where the reference returns an estimate: for a sweep
+    holding -inf the extractor raises DomainError, and for an SNR below
+    MIN_SNR (NaN is not below it) NoResonance."""
 
     @settings(max_examples=300, deadline=None)
     @given(sweep=hostile_sweeps())
     def test_matches_reference_extractor(self, sweep):
         with np.errstate(all="ignore"):
             want = outcome(oracles.reference_extract_resonance, sweep)
-            if (np.isneginf(sweep.magnitude_db).any()
-                    and not isinstance(want, type)):
-                want = DomainError
+            if not isinstance(want, type):
+                if np.isneginf(sweep.magnitude_db).any():
+                    want = DomainError
+                elif float(want[2]) < MIN_SNR:
+                    want = NoResonance
             assert outcome(extract_resonance, sweep) == want
 
     @pytest.mark.parametrize("n", [400, 401])

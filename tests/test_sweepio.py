@@ -7,8 +7,8 @@ from maicas.calibration import parse_points
 from maicas.errors import DomainError
 from maicas.jsonio import float_columns
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
-from maicas.sweepio import (CSV_HEADER, TOUCHSTONE_OPTION_LINE, read_csv,
-                            read_sweep, read_touchstone, write_csv,
+from maicas.sweepio import (CSV_HEADER, TOUCHSTONE_OPTION_LINE, _grid_text,
+                            read_csv, read_sweep, read_touchstone, write_csv,
                             write_sweep, write_touchstone)
 
 
@@ -209,6 +209,58 @@ class TestWrittenBytes:
         path = tmp_path_factory.mktemp("bytes") / "sweep.csv"
         write_csv(sweep, path)
         assert path.read_bytes() == oracles.reference_csv_text(sweep).encode()
+
+
+class TestGridText:
+    """The frequency column's text is kept for the last grid written; each
+    file is still the per-row reference's text."""
+
+    _REFERENCE = {".s1p": oracles.reference_touchstone_text,
+                  ".csv": oracles.reference_csv_text}
+
+    @pytest.mark.parametrize("suffix", [".s1p", ".csv"])
+    def test_grid_changes_keep_reference_bytes(self, rest_circuit, reader,
+                                               tmp_path, suffix):
+        grid_a, grid_b = (1.5e9, 2.0e9, 201), (1.6e9, 1.8e9, 101)
+        for k, grid in enumerate([grid_a, grid_a, grid_b, grid_a]):
+            sweep = add_noise(s11_spectrum(rest_circuit, reader, *grid), 0.2, k)
+            path = tmp_path / f"{k}{suffix}"
+            write_sweep(sweep, path)
+            assert path.read_text() == self._REFERENCE[suffix](sweep)
+
+    @pytest.mark.parametrize("suffix", [".s1p", ".csv"])
+    def test_float32_grid_is_its_own_entry(self, tmp_path, suffix):
+        """Equal endpoints in float32 and float64 give linspaces that
+        differ in the last bits, so neither grid's text is reused for the
+        other."""
+        start, stop = np.float32(3.4280803), np.float32(6.732655)
+        for k, (a, b) in enumerate([(start, stop), (float(start), float(stop)),
+                                    (start, stop)]):
+            sweep = S11Sweep(a, b, 17, np.zeros(17))
+            path = tmp_path / f"{k}{suffix}"
+            write_sweep(sweep, path)
+            assert path.read_text() == self._REFERENCE[suffix](sweep)
+
+    def test_refused_grid_is_not_kept(self, noisy_sweep, tmp_path):
+        """A grid below the float spacing is refused each time with the
+        same message and leaves the last good grid's entry in place."""
+        _grid_text.cache_clear()
+        write_csv(noisy_sweep, tmp_path / "good.csv")
+        bad = S11Sweep(1.0, 1.0000000000000002, 3, np.zeros(3))
+        path = tmp_path / "bad.csv"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as excinfo:
+                write_csv(bad, path)
+            messages.append(str(excinfo.value))
+        assert messages == [f"cannot write {path}: frequency column is not "
+                            "a uniform ascending grid"] * 2
+        assert _grid_text.cache_info()[:2] == (0, 1)  # hits, misses
+        write_csv(noisy_sweep, tmp_path / "again.csv")
+        assert _grid_text.cache_info()[:2] == (1, 1)
+
+    def test_one_entry(self):
+        assert _grid_text.cache_info().maxsize == 1
 
 
 class TestErrorPrecedence:
