@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict, replace
-from importlib import resources
 from pathlib import Path
 
 from . import telemetry
@@ -39,6 +38,8 @@ def _resolve_points(name_or_path: str) -> tuple[str, str | None]:
     if path.exists():
         return read_text(path), BUNDLED_TABLES.get(path.name)
     if name_or_path in BUNDLED_TABLES:
+        from importlib import resources  # loads zipfile: tables only
+
         text = resources.files("maicas").joinpath(
             "data", name_or_path).read_text()
         return text, BUNDLED_TABLES[name_or_path]

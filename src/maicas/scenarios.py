@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .calibration import CalibrationModel, fit_linear, line_fit
 from .circuit import (TARGET_DEPTH_DB, TARGET_F0_HZ, ModelCalibration,
@@ -262,22 +261,30 @@ def _seed_words(seed: int, n_grid: int, repeats: int) -> np.ndarray:
     return out
 
 
-class _RepeatSeed(ISeedSequence):
-    """The seed of one repeat: its row of _seed_words, handed to PCG64.
+@functools.cache
+def _repeat_seed_class() -> type:
+    """_RepeatSeed, built on the first call: importing the package does not
+    load numpy.random, which only a campaign's noise needs."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    It answers only PCG64's request, generate_state(4, np.uint64), and
-    refuses any other, so its words cannot seed another generator."""
+    class _RepeatSeed(ISeedSequence):
+        """The seed of one repeat: its row of _seed_words, handed to PCG64.
 
-    __slots__ = ("words",)
+        It answers only PCG64's request, generate_state(4, np.uint64), and
+        refuses any other, so its words cannot seed another generator."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a repeat seed gives 4 uint64 words only, "
-                             f"not {n_words} of {np.dtype(dtype)}")
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a repeat seed gives 4 uint64 words only, "
+                                 f"not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return _RepeatSeed
 
 
 def _noiseless_slope(coupling: float, config: ExperimentConfig,
@@ -517,11 +524,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ri at grid index gi draws its noise from
     PCG64(SeedSequence((seed, gi, ri))), and the summary CSV is
     byte-identical across runs. The seed words of all repeats come from
-    one vectorised pass of SeedSequence's hash (_seed_words)."""
+    one vectorised pass of SeedSequence's hash (_seed_words). Fewer than 2
+    grid points with an estimate is a DegenerateInput naming the noise."""
     key = copy.copy(config)  # config is checked: no second construction
     vars(key).update(_NOISE_FREE)
     cal, reader, coupling, cleans = campaign_plan(key)
-    seeds = map(_RepeatSeed, _seed_words(
+    seeds = map(_repeat_seed_class(), _seed_words(
         config.seed, len(config.measurand_grid), config.repeats))
     points = []
     failures = 0
@@ -561,6 +569,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ))
 
     fit_points = [(p.measurand, p.mean_f0) for p in points if p.n_ok > 0]
+    if len(fit_points) < 2:
+        raise DegenerateInput(
+            f"need at least 2 points, got {len(fit_points)}: "
+            f"{len(points) - len(fit_points)} of {len(points)} grid points "
+            f"and {failures} of {len(points) * config.repeats} repeats have "
+            f"no estimate at noise_sigma_db {config.noise_sigma_db!r}")
     summary = fit_linear(fit_points, MODE_SPECS[config.mode].unit)
     return ExperimentResult(
         config=config,

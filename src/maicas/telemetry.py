@@ -22,14 +22,13 @@ import json
 import math
 import os
 import re
-import socket
-import socketserver
 import struct
 import threading
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +39,9 @@ from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
                      UnsupportedVersion)
 from .jsonio import read_text
 from .readout import S11Sweep, _check_grid
+
+if TYPE_CHECKING:
+    import socketserver
 
 MAGIC = b"MAIC"
 PROTOCOL_VERSION = 1
@@ -184,26 +186,35 @@ def frames_from_result(result, device_id: int = 1) -> list[bytes]:
     return frames_from_sweeps(sweeps, device_id)
 
 
-class _FrameServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+@functools.cache
+def _frame_server_class() -> type:
+    """_FrameServer, built on the first start_server: importing the package
+    does not load socketserver, which only serving needs."""
+    import socketserver
 
-    def __init__(self, address, frames: list[bytes], frame_interval_s: float):
-        # unpaced: one write a session, not a send and GIL handover a frame
-        self.chunks = frames if frame_interval_s > 0 else [b"".join(frames)]
-        self.frame_interval_s = frame_interval_s
-        super().__init__(address, _FrameHandler)
+    class _FrameHandler(socketserver.BaseRequestHandler):
+        def handle(self):
+            try:
+                for i, chunk in enumerate(self.server.chunks):
+                    if i:
+                        time.sleep(self.server.frame_interval_s)
+                    self.request.sendall(chunk)
+            except OSError:
+                pass  # client went away; other sessions are unaffected
 
+    class _FrameServer(socketserver.ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
 
-class _FrameHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        try:
-            for i, chunk in enumerate(self.server.chunks):
-                if i:
-                    time.sleep(self.server.frame_interval_s)
-                self.request.sendall(chunk)
-        except OSError:
-            pass  # client went away; other sessions are unaffected
+        def __init__(self, address, frames: list[bytes],
+                     frame_interval_s: float):
+            # unpaced: one write a session, not a send and GIL handover a frame
+            self.chunks = (frames if frame_interval_s > 0
+                           else [b"".join(frames)])
+            self.frame_interval_s = frame_interval_s
+            super().__init__(address, _FrameHandler)
+
+    return _FrameServer
 
 
 def start_server(frames: list[bytes], host: str = "127.0.0.1",
@@ -221,7 +232,8 @@ def start_server(frames: list[bytes], host: str = "127.0.0.1",
         raise DomainError(f"frame interval {frame_interval_s} s outside "
                           f"0..{MAX_SERVE_INTERVAL_S:g} s")
     port = default_port() if port is None else _checked_port(port, "port")
-    server = _FrameServer((host, port), list(frames), frame_interval_s)
+    server = _frame_server_class()((host, port), list(frames),
+                                   frame_interval_s)
     # shutdown() waits up to one poll; an idle server wakes ~20 times a second
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               daemon=True)
@@ -450,6 +462,8 @@ def _server_frames(address, tally: dict[str, int], *, reconnect: bool,
     """Raw frames from a server in arrival order, across connections: the
     connect, backoff and reconnect policy that gateway documents.
     tally["reconnects"] counts the connects after the first attempt."""
+    import socket  # only the live gateway connects
+
     backoff = BACKOFF_INITIAL_S
     for attempts in itertools.count(1):
         try:

@@ -233,6 +233,16 @@ class TestAging:
         metrics = drift_metrics(series)
         assert metrics.slope_hz_per_day == pytest.approx(-5e3, rel=1e-9)
 
+    def test_two_samples_fit_exactly(self):
+        metrics = drift_metrics(AgingSeries(((0.0, 1.71e9), (8.0, 1.70e9))))
+        assert metrics.slope_hz_per_day == pytest.approx(-1.25e6, rel=1e-12)
+        assert metrics.total_shift_hz == -1.0e7
+
+    def test_one_sample_has_no_drift(self):
+        with pytest.raises(DegenerateInput,
+                           match="drift needs at least 2 samples"):
+            drift_metrics(AgingSeries(((0.0, 1.71e9),)))
+
     def test_must_start_at_day_zero(self):
         with pytest.raises(DomainError):
             AgingSeries(((1.0, 1.71e9), (2.0, 1.71e9)))

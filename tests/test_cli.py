@@ -693,7 +693,7 @@ class TestSimulate:
     def test_noise_far_above_the_dip_is_no_measurement(
             self, capsys, tmp_path, baseline_cal, device):
         """Every repeat is pure noise to the extractor, whose SNR floor
-        refuses it, so no point is left to fit."""
+        refuses it, so no point is left to fit, and the message says so."""
         cfg_path = tmp_path / "config.json"
         from maicas.scenarios import default_config
         cfg_path.write_text(default_config(
@@ -703,8 +703,11 @@ class TestSimulate:
                                  str(cfg_path), "--out", str(tmp_path / "run"))
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
-        assert json.loads(err) == {"error": "DegenerateInput",
-                                   "message": "need at least 2 points, got 0"}
+        assert json.loads(err) == {
+            "error": "DegenerateInput",
+            "message": "need at least 2 points, got 0: 4 of 4 grid points "
+                       "and 8 of 8 repeats have no estimate at "
+                       "noise_sigma_db 1e+300"}
 
     def test_config_and_mode_are_exclusive(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", "x.json",

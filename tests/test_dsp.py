@@ -168,6 +168,13 @@ class TestRejection:
                                 min_depth_db=1.0)
         assert est.depth_db > 1.0
 
+    def test_dip_exactly_min_depth_deep_is_accepted(self):
+        sweep = S11Sweep(1.0e9, 2.0e9, 41, gaussian_dip(41, 20, 15.0))
+        depth = extract_resonance(sweep).depth_db
+        assert extract_resonance(sweep, min_depth_db=depth).depth_db == depth
+        with pytest.raises(NoResonance, match="below threshold"):
+            extract_resonance(sweep, min_depth_db=np.nextafter(depth, np.inf))
+
     def test_dip_on_left_edge(self):
         mags = np.linspace(-10.0, 0.0, 101)
         with pytest.raises(GridTooCoarse):

@@ -80,6 +80,16 @@ class TestStrainOf:
                                compliance=2.0e-3)
         assert strain_of(state, device) == pytest.approx(0.2)
 
+    def test_zero_pressure_is_rest(self, device):
+        state = RolledPressure(lumen_diameter=3.18, pressure=0.0,
+                               compliance=2.0e-3)
+        assert strain_of(state, device) == 0.0
+
+    def test_negative_pressure_rejected(self):
+        with pytest.raises(DomainError, match="pressure must be >= 0, got -1"):
+            RolledPressure(lumen_diameter=3.18, pressure=-1.0,
+                           compliance=2.0e-3)
+
     def test_displacement_hoop_strain(self, device):
         # 318 um on a 3.18 mm lumen is 10% of the circumference
         state = RolledDisplacement(lumen_diameter=3.18, displacement=318.0)
@@ -96,6 +106,11 @@ class TestStrainOf:
         expected = 2.0 * 1000.0 * math.pi / 2.0 / 10_000.0
         assert strain_of(state, device) == pytest.approx(expected)
 
+    def test_bend_angle_upper_edge_accepted(self, device):
+        state = JointBend(angle=120.0, effective_radius=2.0)
+        expected = 2.0 * 1000.0 * (2.0 * math.pi / 3.0) / 10_000.0
+        assert strain_of(state, device) == pytest.approx(expected)
+
     def test_bend_angle_window(self):
         with pytest.raises(DomainError):
             JointBend(angle=-5.0, effective_radius=2.0)
@@ -110,6 +125,11 @@ class TestStrainOf:
                       JointBend(0.0, 1e306)):  # (1e306 mm in μm) · 0 rad
             with pytest.raises(OutOfModelRange, match="effective strain"):
                 strain_of(state, device)
+
+    @pytest.mark.parametrize("state", ["rest", 0.1, DeviceGeometry()])
+    def test_unknown_state_rejected(self, device, state):
+        with pytest.raises(DomainError, match="unknown deformation state"):
+            strain_of(state, device)
 
     def test_window_boundary_inclusive(self, device):
         assert strain_of(UniaxialStrain(0.5), device) == 0.5

@@ -248,6 +248,18 @@ class TestFitReader:
                            match="^target_depth_db must be < 0 dB, got nan$"):
             fit_reader(rest_circuit, target_depth_db=math.nan)
 
+    @pytest.mark.parametrize("scale, k2", [(0.0, "0.0000"), (10.0, "1.8682")])
+    def test_coupling_outside_the_physical_range_fails(self, rest_circuit,
+                                                       scale, k2):
+        """A lossless tank needs no coupling, and a tenfold loss more than
+        k^2 = 0.9 gives."""
+        lossy = LumpedCircuit(rest_circuit.inductance,
+                              rest_circuit.capacitance,
+                              rest_circuit.resistance * scale)
+        with pytest.raises(CalibrationFailed,
+                           match=rf"^required coupling k\^2 = {k2} outside"):
+            fit_reader(lossy)
+
     def test_impossible_depth_fails(self, rest_circuit):
         with pytest.raises((CalibrationFailed, DomainError)):
             fit_reader(rest_circuit, target_depth_db=-200.0)
@@ -259,3 +271,9 @@ class TestDefaultReader:
             ReaderCouple(6e-9, 1.0, 1.0)      # k must stay below unity
         with pytest.raises(DomainError):
             ReaderCouple(-6e-9, 1.0, 0.1)
+        with pytest.raises(DomainError,
+                           match="reader_resistance must be >= 0, got -1"):
+            ReaderCouple(6e-9, -1.0, 0.1)
+
+    def test_lossless_reader_accepted(self):
+        assert ReaderCouple(6e-9, 0.0, 0.1).reader_resistance == 0.0

@@ -19,7 +19,7 @@ from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError,
 from maicas.geometry import DeviceGeometry, LoopGeometry
 from maicas.readout import add_noise
 from maicas.scenarios import (MODE_SPECS, MODES, ExperimentConfig, _brentq,
-                              _RepeatSeed, _seed_words, default_config,
+                              _repeat_seed_class, _seed_words, default_config,
                               fit_scenario_coupling, run_experiment)
 from maicas.sweepio import read_touchstone
 
@@ -108,6 +108,10 @@ def quiet_config(mode, device, cal, **overrides):
 
 
 class TestConfigValidation:
+    def test_default_config_rejects_unknown_mode(self):
+        with pytest.raises(DomainError, match="^unknown mode 'waterfall'$"):
+            default_config("waterfall")
+
     def test_default_grids_cover_all_modes(self):
         for mode, spec in MODE_SPECS.items():
             cfg = default_config(mode)
@@ -275,7 +279,7 @@ class TestSeedDerivation:
             want = reference.generate_state(4, np.uint64)
             assert row.dtype == want.dtype and row.shape == want.shape
             assert row.tobytes() == want.tobytes()
-            ours = np.random.PCG64(_RepeatSeed(row))
+            ours = np.random.PCG64(_repeat_seed_class()(row))
             numpys = np.random.PCG64(reference)
             assert ours.state == numpys.state
             assert (np.random.Generator(ours).normal(size=8).tobytes()
@@ -285,7 +289,7 @@ class TestSeedDerivation:
                                           (2, np.uint64), (8, np.uint64),
                                           (4, np.int64), (4, np.float64)])
     def test_repeat_seed_refuses_other_requests(self, request_):
-        seed = _RepeatSeed(_seed_words(0, 1, 1)[0])
+        seed = _repeat_seed_class()(_seed_words(0, 1, 1)[0])
         with pytest.raises(ValueError, match="4 uint64 words only"):
             seed.generate_state(*request_)
 
@@ -294,7 +298,7 @@ class TestSeedDerivation:
                                            np.random.SFC64])
     def test_other_generators_are_refused(self, generator):
         with pytest.raises(ValueError, match="4 uint64 words only"):
-            generator(_RepeatSeed(_seed_words(0, 1, 1)[0]))
+            generator(_repeat_seed_class()(_seed_words(0, 1, 1)[0]))
 
     def test_words_are_read_only(self):
         with pytest.raises(ValueError):
@@ -541,7 +545,9 @@ class TestRunExperiment:
         cfg = default_config("epicardial_strain", device=device,
                              calibration=baseline_cal, repeats=1,
                              noise_sigma_db=0.0, min_depth_db=50.0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match=(
+                r"^need at least 2 points, got 0: 5 of 5 grid points and 5 "
+                r"of 5 repeats have no estimate at noise_sigma_db 0\.0$")):
             run_experiment(cfg)
 
     def test_aging_mode_is_flat(self, device, baseline_cal):
