@@ -251,8 +251,8 @@ class TestFitReader:
     @pytest.mark.parametrize("scale, k2", [(0.0, "0.0000"), (10.0, "1.8682")])
     def test_coupling_outside_the_physical_range_fails(self, rest_circuit,
                                                        scale, k2):
-        """A lossless tank needs no coupling, and a tenfold loss more than
-        k^2 = 0.9 gives."""
+        """A lossless tank needs k^2 = 0, and one with ten times the stock
+        loss needs more than 0.9."""
         lossy = LumpedCircuit(rest_circuit.inductance,
                               rest_circuit.capacitance,
                               rest_circuit.resistance * scale)

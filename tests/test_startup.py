@@ -38,7 +38,8 @@ def deferred_on_import() -> list[str]:
     """The DEFERRED modules that `import maicas, maicas.cli` loads in a
     fresh `python -S` interpreter. -S keeps site's .pth hooks, which may
     import any module, out of the count; src and the site-packages go on
-    sys.path by hand instead."""
+    sys.path by hand instead. A failed import raises, its traceback on
+    stderr."""
     paths = [str(SRC), *site.getsitepackages(), site.getusersitepackages()]
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
@@ -47,7 +48,7 @@ def deferred_on_import() -> list[str]:
          "import maicas, maicas.cli\n"
          "print(json.dumps([m for m in sys.argv[2:] if m in sys.modules]))\n",
          json.dumps(paths), *DEFERRED],
-        capture_output=True, text=True, check=True)
+        stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
 
