@@ -23,7 +23,7 @@ from .geometry import (DeviceGeometry, IdeGeometry, JointBend, LoopGeometry,
                        Rest, RolledDisplacement, RolledPressure,
                        SubstrateStack, UniaxialStrain, strain_of)
 from .readout import (ReaderCouple, S11Sweep, add_noise, fit_reader,
-                      input_impedance, s11_spectrum)
+                      s11_spectrum)
 from .scenarios import (ExperimentConfig, ExperimentResult, PointResult,
                         default_config, fit_scenario_coupling,
                         run_experiment)

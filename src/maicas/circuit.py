@@ -165,8 +165,8 @@ def resonance_frequency(inductance: float, capacitance: float) -> float:
 
 @dataclass(frozen=True)
 class LumpedCircuit:
-    """Series R-L-C equivalent of the sensor. f0 and q are always derived
-    from the stored element values, never cached."""
+    """Series R-L-C equivalent of the sensor. f0 is always derived from
+    the stored element values, never cached."""
 
     inductance: float
     capacitance: float
@@ -186,12 +186,6 @@ class LumpedCircuit:
     @property
     def f0(self) -> float:
         return resonance_frequency(self.inductance, self.capacitance)
-
-    @property
-    def q(self) -> float:
-        if self.resistance == 0.0:
-            return math.inf
-        return 2.0 * math.pi * self.f0 * self.inductance / self.resistance
 
 
 @dataclass(frozen=True)
@@ -302,8 +296,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
     # Fixed point: if the uncalibrated model already hits the target, keep it.
     identity = initial_calibration(device)
     rest = lumped_from_geometry(device, Rest(), identity)
-    f_identity = rest.f0
-    if abs(f_identity - target_f0) <= 1e6:
+    if abs(rest.f0 - target_f0) <= 1e6:
         readout.fit_reader(rest, target_depth_db)
         return identity
 
@@ -325,8 +318,7 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
                 best = (badness, count, length)
         if best is None:
             raise CalibrationFailed(
-                f"no finger layout inside bounds reaches C = {c_total:.3e} F",
-                residual=abs(f_identity - target_f0))
+                f"no finger layout inside bounds reaches C = {c_total:.3e} F")
         _, count, length = best
         c_raw = ide_capacitance(
             replace(device.ide, finger_count=count, finger_length=length),
@@ -344,19 +336,17 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
         c_total = 1.0 / (inductance * (2.0 * math.pi * target_f0) ** 2)
     except ArithmeticError:  # the square overflows or the product underflows
         raise CalibrationFailed(
-            f"no capacitance resonates at {target_f0:.6g} Hz in float range",
-            residual=abs(f_identity - target_f0)) from None
+            f"no capacitance resonates at {target_f0:.6g} Hz in "
+            "float range") from None
     cal = solve_stage_a(c_total)
 
     # Joint depth fit + dip recentring.
-    best_residual = math.inf
     for _ in range(4):
         circuit = lumped_from_geometry(device, Rest(), cal)
         reader = readout.fit_reader(circuit, target_depth_db)
         f_dip, depth = readout.dip_of(circuit, reader)
         f_resid = abs(f_dip - target_f0)
         d_resid = abs(depth - target_depth_db)
-        best_residual = min(best_residual, f_resid + 1e6 * d_resid)
         if f_resid <= 0.6e6 and d_resid <= 0.5:
             if abs(circuit.f0 - target_f0) > 1e6:
                 break  # sensor f0 drifted out while centring the dip
@@ -367,4 +357,4 @@ def calibrate_baseline(device: DeviceGeometry, target_f0: float = TARGET_F0_HZ,
 
     raise CalibrationFailed(
         f"baseline fit did not converge to {target_f0:.6g} Hz / "
-        f"{target_depth_db:.3g} dB", residual=best_residual)
+        f"{target_depth_db:.3g} dB")

@@ -28,15 +28,7 @@ class OutOfModelRange(MaicasError):
 
 
 class CalibrationFailed(MaicasError):
-    """A bounded deterministic fit could not meet its target.
-
-    Carries the best residual found so callers can report how far off the
-    search ended.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A bounded deterministic fit could not meet its target."""
 
 
 class NoResonance(MaicasError):

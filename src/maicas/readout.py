@@ -80,7 +80,7 @@ class S11Sweep:
 
 def _impedance(circuit: LumpedCircuit, reader: ReaderCouple,
                f: np.ndarray) -> np.ndarray:
-    """input_impedance's arithmetic at the frequencies f, unchecked."""
+    """Impedance looking into the reader port at the frequencies f."""
     w = 2.0 * math.pi * f
     mutual = reader.coupling_coefficient * math.sqrt(
         reader.reader_inductance * circuit.inductance)
@@ -88,22 +88,6 @@ def _impedance(circuit: LumpedCircuit, reader: ReaderCouple,
               + 1j * (w * circuit.inductance - 1.0 / (w * circuit.capacitance)))
     return (reader.reader_resistance + 1j * w * reader.reader_inductance
             + (w * mutual) ** 2 / z_tank)
-
-
-def input_impedance(circuit: LumpedCircuit, reader: ReaderCouple, frequency):
-    """Complex impedance looking into the reader port. Accepts a scalar or
-    an array of frequencies in Hz; DomainError unless each is 0 < f < inf
-    and gives a finite impedance (1e300 Hz and 5e-324 Hz do not)."""
-    f = np.asarray(frequency, dtype=np.float64)
-    if not ((f > 0) & (f < math.inf)).all():  # NaN fails too
-        raise DomainError("frequency must be finite and > 0")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = _impedance(circuit, reader, f)
-    if not np.isfinite(z).all():
-        raise DomainError("impedance is not finite at this frequency")
-    if np.isscalar(frequency):
-        return complex(z)
-    return z
 
 
 def _reflection_db(circuit: LumpedCircuit, reader: ReaderCouple,
@@ -203,26 +187,22 @@ def fit_reader(circuit: LumpedCircuit,
     a = 1.0 - g * g
     if a == 0.0:
         raise CalibrationFailed(
-            f"target depth {target_depth_db} dB rounds to a full reflection",
-            residual=abs(target_depth_db))
+            f"target depth {target_depth_db} dB rounds to a full reflection")
     b = -2.0 * z0 * (1.0 + g * g)
     c = a * (z0 * z0 + x_r * x_r)
     disc = b * b - 4.0 * a * c
     if disc <= 0:
         raise CalibrationFailed(
-            f"reader reactance {x_r:.3g} ohm cannot reach {target_depth_db} dB",
-            residual=abs(target_depth_db))
+            f"reader reactance {x_r:.3g} ohm cannot reach {target_depth_db} dB")
     r_in = (-b - math.sqrt(disc)) / (2.0 * a)
     if r_in <= resistance_r:
-        raise CalibrationFailed(
-            "matched input resistance below reader loss", residual=r_in)
+        raise CalibrationFailed("matched input resistance below reader loss")
 
     k2 = ((r_in - resistance_r) * circuit.resistance
           / (w0 * w0 * inductance_r * circuit.inductance))
     if not 0.0 < k2 < 0.9:
         raise CalibrationFailed(
-            f"required coupling k^2 = {k2:.4f} outside the physical range",
-            residual=k2)
+            f"required coupling k^2 = {k2:.4f} outside the physical range")
     k = math.sqrt(k2)
 
     def depth_error(k_try: float) -> float:
@@ -244,6 +224,5 @@ def fit_reader(circuit: LumpedCircuit,
         e_b = depth_error(k_b)
     if abs(e_b) > 5e-2:
         raise CalibrationFailed(
-            f"dip depth fit residual {e_b:.3g} dB at k = {k_b:.4f}",
-            residual=abs(e_b))
+            f"dip depth fit residual {e_b:.3g} dB at k = {k_b:.4f}")
     return ReaderCouple(inductance_r, resistance_r, float(k_b))

@@ -128,10 +128,11 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
         grid = self.measurand_grid
-        if not grid:
-            raise DomainError("measurand_grid must be nonempty")
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DomainError("measurand_grid must be sorted ascending")
+        if not grid or grid[0] == grid[-1]:  # sorted: under 2 distinct values
+            raise DomainError(
+                f"measurand_grid needs 2 distinct values to fit, got {grid}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.repeats < 1:
@@ -404,17 +405,14 @@ def fit_scenario_coupling(mode: str, target_sensitivity: float,
     if r_hi < 0:
         raise CalibrationFailed(
             f"target {target_sensitivity:.6g} Hz/unit unreachable inside the "
-            f"strain validity window (max {target_sensitivity + r_hi:.6g})",
-            residual=-r_hi)
+            f"strain validity window (max {target_sensitivity + r_hi:.6g})")
     if residual(p_min) > 0:
-        raise CalibrationFailed(
-            "target sensitivity below the model floor", residual=residual(p_min))
+        raise CalibrationFailed("target sensitivity below the model floor")
     p_star = _brentq(residual, p_min, p_max, xtol=1e-14 * p_max, rtol=8.9e-16)
     achieved = _noiseless_slope(p_star, config, cal, grid)
     if abs(achieved - target_sensitivity) > 0.02 * abs(target_sensitivity):
         raise CalibrationFailed(
-            f"coupling fit residual {achieved - target_sensitivity:.3g} Hz",
-            residual=abs(achieved - target_sensitivity))
+            f"coupling fit residual {achieved - target_sensitivity:.3g} Hz")
     return p_star
 
 

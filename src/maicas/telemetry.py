@@ -175,6 +175,7 @@ def read_frame(stream) -> bytes | None:
 
 
 def frames_from_sweeps(sweeps, device_id: int = 1) -> list[bytes]:
+    """One frame per sweep, timestamped FRAME_INTERVAL_US apart from 0."""
     return [encode_frame(device_id, i * FRAME_INTERVAL_US, sw)
             for i, sw in enumerate(sweeps)]
 

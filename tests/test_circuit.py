@@ -88,14 +88,6 @@ class TestResonance:
 
 
 class TestLumpedCircuit:
-    def test_f0_and_q(self):
-        circuit = LumpedCircuit(40e-9, 1.2e-12, 5.0)
-        w0 = 2.0 * math.pi * circuit.f0
-        assert circuit.q == pytest.approx(w0 * 40e-9 / 5.0, rel=1e-12)
-
-    def test_lossless_q_infinite(self):
-        assert LumpedCircuit(40e-9, 1.2e-12, 0.0).q == math.inf
-
     def test_validation(self):
         with pytest.raises(DomainError):
             LumpedCircuit(0.0, 1e-12, 1.0)
@@ -193,6 +185,14 @@ class TestLoopInductance:
         square = loop_inductance(
             LoopGeometry(outer_side=10.0 * math.sqrt(1.2)))
         assert scaled == pytest.approx(square, rel=1e-12)
+
+    def test_loop_that_fits_at_rest_can_fail_compressed(self):
+        """Three turns fit a 1 mm side at rest, not the square of half its
+        enclosed area."""
+        loop = LoopGeometry(outer_side=1.0, turns=3, axis_scale=0.5)
+        with pytest.raises(DomainError, match=(
+                "^loop turns do not fit the strained outer side$")):
+            loop_inductance(loop)
 
     def test_grows_with_side(self):
         vals = [loop_inductance(LoopGeometry(outer_side=s))

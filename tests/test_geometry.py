@@ -50,6 +50,11 @@ class TestValidation:
             LoopGeometry(outer_side=10.0, turns=40, trace_width=120.0,
                          turn_spacing=30.0)
 
+    def test_loop_metal_filling_the_side_exactly_is_refused(self):
+        # one 250 um trace on each edge spans the whole 0.5 mm side
+        with pytest.raises(DomainError, match="do not fit in outer_side"):
+            LoopGeometry(outer_side=0.5, turns=1, trace_width=250.0)
+
     @pytest.mark.parametrize("kwargs", [
         {"base_thickness": 0.0},
         {"encapsulation_thickness": -1.0},
@@ -66,6 +71,13 @@ class TestValidation:
             DeviceGeometry(rest_length=0.0)
         with pytest.raises(DomainError):
             DeviceGeometry(poisson_ratio=0.6)
+
+    def test_poisson_ratio_upper_edge(self):
+        """0.5 is incompressible and accepted; the 1e-12 of slack is the
+        first value refused."""
+        assert DeviceGeometry(poisson_ratio=0.5).poisson_ratio == 0.5
+        with pytest.raises(DomainError, match="poisson_ratio must be in"):
+            DeviceGeometry(poisson_ratio=0.5 + 1e-12)
 
 
 class TestStrainOf:

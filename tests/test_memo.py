@@ -197,20 +197,21 @@ def test_failures_are_recomputed_not_kept(monkeypatch):
 
 def test_size_is_bounded_and_least_recently_used_goes_first(spectra,
                                                             baseline_cal):
-    """32 plans are kept; one more drops the least recently used."""
-    plans = [default_config("aging", measurand_grid=(0.0,), n_points=5,
+    """32 plans are kept; one more drops the least recently used. Each
+    plan computes one spectrum per grid point, two here."""
+    plans = [default_config("aging", measurand_grid=(0.0, 1.0), n_points=5,
                             f_start=1.5e9 + 400.0 + k, calibration=baseline_cal)
              for k in range(33)]
     for config in plans[:32]:
         scenarios.campaign_plan(config)
-    assert len(spectra) == 32
+    assert len(spectra) == 2 * 32
     scenarios.campaign_plan(plans[0])   # the first is now the most recent
     scenarios.campaign_plan(plans[32])  # one past the bound: the second goes
-    assert len(spectra) == 33
+    assert len(spectra) == 2 * 33
     spectra.clear()
     scenarios.campaign_plan(plans[0])
     scenarios.campaign_plan(plans[1])
-    assert [args[2] for args in spectra] == [plans[1].f_start]
+    assert [args[2] for args in spectra] == [plans[1].f_start] * 2
 
 
 def test_concurrent_callers_each_get_their_own_value():

@@ -11,7 +11,7 @@ from maicas import readout
 from maicas.circuit import LumpedCircuit
 from maicas.errors import CalibrationFailed, DegenerateInput, DomainError
 from maicas.readout import (ReaderCouple, S11Sweep, add_noise, dip_of,
-                            fit_reader, input_impedance, s11_spectrum)
+                            fit_reader, s11_spectrum)
 
 
 def mesh_impedance(circuit, reader, f):
@@ -30,34 +30,26 @@ def mesh_impedance(circuit, reader, f):
     return 1.0 / currents[0]
 
 
-class TestInputImpedance:
-    def test_matches_mesh_solution(self, rest_circuit, reader):
-        for f in np.linspace(1.5e9, 2.0e9, 23):
-            got = input_impedance(rest_circuit, reader, f)
-            want = mesh_impedance(rest_circuit, reader, f)
-            assert got == pytest.approx(want, rel=1e-10)
+def reflection_db(z):
+    """20*log10|(z - 50)/(z + 50)|, the reflection against the 50 ohm port."""
+    return 20.0 * math.log10(abs((z - 50.0) / (z + 50.0)))
 
-    def test_vectorized_agrees_with_scalar(self, rest_circuit, reader):
-        freqs = np.linspace(1.6e9, 1.8e9, 11)
-        vec = input_impedance(rest_circuit, reader, freqs)
-        for f, z in zip(freqs, vec):
-            assert z == pytest.approx(input_impedance(rest_circuit, reader, f))
-        # both forms refuse what _check_grid refuses: 0 < f < inf
-        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            for frequency in (bad, np.append(freqs, bad)):
-                with pytest.raises(DomainError, match="finite and > 0"):
-                    input_impedance(rest_circuit, reader, frequency)
-        # finite frequencies whose arithmetic overflows or divides by zero
-        for extreme in (1e300, 1e-300, 5e-324, np.append(freqs, 1e300)):
-            with pytest.raises(DomainError, match="impedance is not finite"):
-                input_impedance(rest_circuit, reader, extreme)
+
+class TestInputImpedance:
+    """The impedance behind s11_spectrum, through the reflection it gives."""
+
+    def test_matches_mesh_solution(self, rest_circuit, reader):
+        sweep = s11_spectrum(rest_circuit, reader, 1.5e9, 2.0e9, 23)
+        want = [reflection_db(mesh_impedance(rest_circuit, reader, f))
+                for f in sweep.frequencies]
+        assert sweep.magnitude_db == pytest.approx(want, rel=1e-10)
 
     def test_zero_coupling_leaves_reader_alone(self, rest_circuit):
         bare = ReaderCouple(6e-9, 1.0, 0.0)
-        f = 1.71e9
-        w = 2.0 * math.pi * f
-        got = input_impedance(rest_circuit, bare, f)
-        assert got == pytest.approx(1.0 + 1j * w * 6e-9, rel=1e-12)
+        sweep = s11_spectrum(rest_circuit, bare, 1.6e9, 1.8e9, 11)
+        want = [reflection_db(1.0 + 2j * math.pi * f * 6e-9)
+                for f in sweep.frequencies]
+        assert sweep.magnitude_db == pytest.approx(want, rel=1e-12)
 
 
 class TestS11Spectrum:
@@ -92,6 +84,18 @@ class TestDipOf:
         monkeypatch.setattr(readout, "DIP_SPAN", 0.02)
         f_tight, _ = dip_of(rest_circuit, reader)
         assert abs(f_wide - f_tight) < 50e3
+
+    def test_no_dip_falls_back_to_the_lowest_grid_point(self, rest_circuit):
+        """With no coupling the reflection rises with frequency, so each
+        stage's minimum is its first point and no parabola is fitted: the
+        second grid starts 3 steps of the first below f0*(1 - DIP_SPAN)."""
+        bare = ReaderCouple(6e-9, 1.0, 0.0)
+        f_dip, depth = dip_of(rest_circuit, bare)
+        lo = rest_circuit.f0 * (1.0 - readout.DIP_SPAN)
+        step = 2.0 * readout.DIP_SPAN * rest_circuit.f0 / 2000
+        assert f_dip == pytest.approx(lo - 3.0 * step, rel=1e-12)
+        assert depth == pytest.approx(
+            reflection_db(1.0 + 2j * math.pi * f_dip * 6e-9), rel=1e-9)
 
     def test_returns_plain_floats(self, rest_circuit, reader):
         f_dip, depth = dip_of(rest_circuit, reader)
@@ -243,6 +247,13 @@ class TestFitReader:
         with pytest.raises(DomainError):
             fit_reader(rest_circuit, target_depth_db=0.5)
 
+    def test_zero_depth_is_a_domain_error(self, rest_circuit):
+        """0 dB is refused as a target, before the fit finds that it
+        rounds to a full reflection."""
+        with pytest.raises(DomainError,
+                           match="^target_depth_db must be < 0 dB, got 0$"):
+            fit_reader(rest_circuit, target_depth_db=0)
+
     def test_nan_depth_is_named(self, rest_circuit):
         with pytest.raises(DomainError,
                            match="^target_depth_db must be < 0 dB, got nan$"):
@@ -259,6 +270,25 @@ class TestFitReader:
         with pytest.raises(CalibrationFailed,
                            match=rf"^required coupling k\^2 = {k2} outside"):
             fit_reader(lossy)
+
+    def test_shallow_depth_needs_less_than_the_reader_loss(self,
+                                                          rest_circuit):
+        """A 0.1 dB dip needs an input resistance under the 1 ohm the reader
+        itself loses."""
+        with pytest.raises(CalibrationFailed, match=(
+                "^matched input resistance below reader loss$")):
+            fit_reader(rest_circuit, target_depth_db=-0.1)
+
+    def test_a_dip_the_coupling_cannot_move_fails(self, rest_circuit,
+                                                  monkeypatch):
+        """A dip 1 dB off the target whatever the coupling: the secant stops
+        on two equal errors rather than divide by zero, and the residual
+        left is a CalibrationFailed."""
+        monkeypatch.setattr(readout, "dip_of",
+                            lambda circuit, reader: (circuit.f0, -15.0))
+        with pytest.raises(CalibrationFailed,
+                           match=r"^dip depth fit residual -1 dB at k = "):
+            fit_reader(rest_circuit, target_depth_db=-14.0)
 
     def test_impossible_depth_fails(self, rest_circuit):
         with pytest.raises((CalibrationFailed, DomainError)):

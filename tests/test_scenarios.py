@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from maicas import scenarios
 from maicas.calibration import fit_linear
 from maicas.circuit import ModelCalibration, lumped_from_geometry
 from maicas.dsp import extract_resonance
@@ -144,6 +145,14 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(DomainError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("grid", [(), (0.0,), (4.0, 4.0), (-0.0, 0.0)])
+    def test_grid_needs_two_distinct_values(self, grid):
+        """A line through fewer than 2 distinct values has no slope; the
+        config refuses it before any plan or sweep is built."""
+        with pytest.raises(DomainError, match=(
+                r"^measurand_grid needs 2 distinct values to fit, got ")):
+            default_config("aging", measurand_grid=grid)
 
     @pytest.mark.parametrize("field,value", [
         ("seed", 3.5), ("seed", True), ("seed", np.float64(3.0)),
@@ -392,6 +401,25 @@ class TestCouplingFits:
             fit_scenario_coupling("epicardial_strain", target,
                                   device, baseline_cal)
 
+    def test_target_below_the_model_floor_fails(self, device, baseline_cal):
+        """1e-30 Hz per percent is below the slope at the smallest coupling
+        searched, 1e-9 of the largest."""
+        with pytest.raises(CalibrationFailed,
+                           match="^target sensitivity below the model floor$"):
+            fit_scenario_coupling("epicardial_strain", 1e-30,
+                                  device, baseline_cal)
+
+    def test_a_root_off_the_target_fails(self, device, baseline_cal,
+                                         monkeypatch):
+        """The root is checked against the target: a solver that returns
+        the bracket's low end leaves more than 2% of it."""
+        monkeypatch.setattr(scenarios, "_brentq",
+                            lambda f, xa, xb, **tolerances: xa)
+        with pytest.raises(CalibrationFailed,
+                           match=r"^coupling fit residual -2\.9e\+06 Hz$"):
+            fit_scenario_coupling("epicardial_strain", 2.9e6,
+                                  device, baseline_cal)
+
     def test_mode_without_coupling_rejected(self, device, baseline_cal):
         with pytest.raises(DomainError):
             fit_scenario_coupling("media_stability", 1.0e6,
@@ -549,6 +577,19 @@ class TestRunExperiment:
                 r"^need at least 2 points, got 0: 5 of 5 grid points and 5 "
                 r"of 5 repeats have no estimate at noise_sigma_db 0\.0$")):
             run_experiment(cfg)
+
+    def test_estimates_too_far_apart_for_an_sd_are_degenerate(self):
+        """Two repeats of pure noise on a 7-point grid up to 1e160 Hz read
+        dips at 6.7e159 and 8.3e159 Hz. Their sum is finite, but each
+        deviation from the mean squares past the float range."""
+        config = default_config(
+            "aging", measurand_grid=(0.0, 1.0), f_start=1e150, f_stop=1e160,
+            n_points=7, repeats=2, noise_sigma_db=1.0, min_depth_db=0.1,
+            seed=10)
+        with pytest.raises(DegenerateInput, match=(
+                r"^repeat estimates at 1\.0 too far apart for a mean and sd "
+                r"in float range$")):
+            run_experiment(config)
 
     def test_aging_mode_is_flat(self, device, baseline_cal):
         result = run_experiment(quiet_config("aging", device, baseline_cal))

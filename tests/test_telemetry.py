@@ -7,6 +7,7 @@ import struct
 import tempfile
 import threading
 import time
+import types
 import warnings
 import zlib
 from dataclasses import replace
@@ -164,6 +165,14 @@ class TestRoundTrip:
                                              timestamp):
         with pytest.raises(DomainError):
             encode_frame(device_id, timestamp, sweep_pool[0])
+
+    def test_encode_rejects_a_point_count_past_u32(self):
+        """The count is checked before the header is packed; a stub stands
+        in for a sweep of 2**32 points."""
+        stub = types.SimpleNamespace(f_start=1.5e9, f_stop=2.0e9,
+                                     n_points=2 ** 32, magnitude_db=None)
+        with pytest.raises(DomainError, match="^n_points outside u32 range$"):
+            encode_frame(1, 0, stub)
 
 
 class TestCorruption:
