@@ -94,6 +94,18 @@ class TestLumpedCircuit:
         with pytest.raises(DomainError):
             LumpedCircuit(1e-9, 1e-12, -1.0)
 
+    @pytest.mark.parametrize("values, field", [
+        ((math.inf, 1e-12, 1.0), "inductance"),
+        ((1e-9, 0.0, 1.0), "capacitance"),
+        ((1e-9, math.inf, 1.0), "capacitance"),
+        ((1e-9, 1e-12, math.inf), "resistance")])
+    def test_each_range_refuses_its_open_ends(self, values, field):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            LumpedCircuit(*values)
+
+    def test_a_lossless_tank_is_accepted(self):
+        assert LumpedCircuit(1e-9, 1e-12, 0.0).resistance == 0.0
+
 
 class TestIdeCapacitance:
     def test_two_finger_case_matches_coplanar_pair_oracle(self, device):
@@ -164,6 +176,24 @@ class TestIdeCapacitance:
                         trace_width=width, gap=gap), stack)
         assert 0 < c < 1e-9
 
+    @pytest.mark.parametrize("ide", [
+        IdeGeometry(finger_length=1e-320),  # both cells underflow to 0
+        IdeGeometry(gap=1e-300),  # both moduli round to 1
+        # the interior cell underflows to 0, the exterior one to 5e-324
+        IdeGeometry(finger_length=2e-307, trace_width=1.0, gap=1000.0),
+        # the exterior modulus rounds to 1, the interior one stays below
+        IdeGeometry(gap=1.2e-6),
+        # the interior modulus rounds to 1, the exterior one stays below
+        IdeGeometry(gap=1e-14)],
+        ids=["zero", "infinite", "zero-interior", "infinite-exterior",
+             "infinite-interior"])
+    def test_a_zero_or_infinite_cell_is_refused_by_name(self, device, ide):
+        with pytest.raises(DomainError, match=(
+                f"^electrode cells of width {ide.trace_width} μm, gap "
+                f"{ide.gap} μm and length {ide.finger_length} μm have no "
+                "finite capacitance$")):
+            ide_capacitance(ide, device.stack)
+
 
 class TestLoopInductance:
     def test_against_neumann_oracle(self, device):
@@ -194,6 +224,14 @@ class TestLoopInductance:
                 "^loop turns do not fit the strained outer side$")):
             loop_inductance(loop)
 
+    def test_turns_that_exactly_fill_the_strained_side_are_refused(self):
+        """A 250 μm turn in half of a 1 mm side leaves d_in exactly 0."""
+        loop = LoopGeometry(outer_side=1.0, trace_width=250.0,
+                            axis_scale=0.25)
+        with pytest.raises(DomainError, match=(
+                "^loop turns do not fit the strained outer side$")):
+            loop_inductance(loop)
+
     def test_grows_with_side(self):
         vals = [loop_inductance(LoopGeometry(outer_side=s))
                 for s in (5.0, 10.0, 20.0)]
@@ -216,6 +254,10 @@ class TestModelCalibration:
             ModelCalibration(0.0, 1e-15, 8, 4000.0, 5.0)
         with pytest.raises(DomainError):
             ModelCalibration(1.0, -1e-15, 8, 4000.0, 5.0)
+
+    def test_two_fingers_are_accepted(self):
+        cal = ModelCalibration(1.0, 1e-13, 2, 1000.0, 5.0)
+        assert cal.ide_finger_count == 2
 
     def test_one_finger_is_refused_by_name(self):
         """The calibration's finger count obeys IdeGeometry's floor, so a
@@ -298,6 +340,14 @@ class TestCalibrateBaseline:
         with pytest.raises(DomainError,
                            match="^target_depth_db must be < 0 dB, got nan$"):
             calibrate_baseline(device, 1.71e9, math.nan)
+
+    def test_zero_targets_are_refused_by_name(self, device):
+        with pytest.raises(DomainError,
+                           match="^target_f0 must be > 0, got 0.0$"):
+            calibrate_baseline(device, 0.0)
+        with pytest.raises(DomainError,
+                           match="^target_depth_db must be < 0 dB, got 0.0$"):
+            calibrate_baseline(device, 1.0, 0.0)
 
     def test_deterministic(self, device, baseline_cal):
         assert calibrate_baseline(device, 1.71e9, -14.0) == baseline_cal

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -167,6 +168,10 @@ class TestConfigValidation:
         field, before any campaign work."""
         with pytest.raises(DomainError, match=field):
             default_config("aging", **{field: value})
+
+    def test_the_largest_integer_in_float_range_is_accepted(self):
+        seed = int(sys.float_info.max)
+        assert default_config("aging", seed=seed).seed == seed
 
     def test_numpy_integers_are_stored_as_int(self):
         cfg = default_config("aging", seed=np.int64(3), repeats=np.uint8(2),
@@ -397,7 +402,8 @@ class TestCouplingFits:
 
     @pytest.mark.parametrize("target", [0.0, -1e6])
     def test_nonpositive_target_fails(self, device, baseline_cal, target):
-        with pytest.raises(CalibrationFailed):
+        with pytest.raises(CalibrationFailed, match=(
+                f"^target sensitivity must be positive, got {target}$")):
             fit_scenario_coupling("epicardial_strain", target,
                                   device, baseline_cal)
 
@@ -590,6 +596,12 @@ class TestRunExperiment:
                 r"^repeat estimates at 1\.0 too far apart for a mean and sd "
                 r"in float range$")):
             run_experiment(config)
+
+    def test_a_two_point_grid_fits_both_points(self, device, baseline_cal):
+        result = run_experiment(quiet_config(
+            "aging", device, baseline_cal, measurand_grid=(0.0, 1.0)))
+        assert result.summary.n_points == 2
+        assert result.summary.r_squared == 1.0
 
     def test_aging_mode_is_flat(self, device, baseline_cal):
         result = run_experiment(quiet_config("aging", device, baseline_cal))

@@ -222,6 +222,14 @@ class TestCorruption:
         with pytest.raises(MalformedLength):
             decode_frame(crafted_frame()[:30])
 
+    def test_a_frame_of_the_minimum_length_reaches_the_grid_check(self):
+        """A header and a CRC, no payload: 45 bytes is long enough to be
+        framed, and its 0 points are an invalid grid."""
+        frame = crafted_frame(mags=())
+        assert len(frame) == HEADER_SIZE + 4
+        with pytest.raises(InvalidGrid, match="^n_points must be >= 2, got 0$"):
+            decode_frame(frame)
+
 
 # Header floats a hostile sender may put in a frame whose CRC it recomputed.
 _GRID_EDGES = st.one_of(
@@ -338,6 +346,12 @@ class TestStreamFraming:
         header = struct.pack("<4sBQQddI", MAGIC, 1, 0, 0, 1.5e9, 2.0e9,
                              MAX_STREAM_POINTS + 1)
         with pytest.raises(MalformedLength):
+            read_frame(io.BytesIO(header + b"\x00" * 64))
+
+    def test_a_point_count_at_the_cap_is_read(self):
+        header = struct.pack("<4sBQQddI", MAGIC, 1, 0, 0, 1.5e9, 2.0e9,
+                             MAX_STREAM_POINTS)
+        with pytest.raises(MalformedLength, match="inside a frame body"):
             read_frame(io.BytesIO(header + b"\x00" * 64))
 
     def test_framing_preserved_after_valid_frames(self, sweep_pool):
@@ -796,6 +810,10 @@ class TestFrameServer:
                 == (tmp_path / "offline.ndjson").read_bytes())
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_the_longest_pause_is_accepted(self):
+        with serving([], telemetry.MAX_SERVE_INTERVAL_S) as server:
+            assert server.frame_interval_s == telemetry.MAX_SERVE_INTERVAL_S
+
     def test_shutdown_returns_promptly(self):
         with serving([]) as server:
             time.sleep(0.02)  # let serve_forever enter its poll
@@ -1003,6 +1021,8 @@ def test_default_port_env_override(monkeypatch):
     assert default_port() == 50123
     monkeypatch.setenv("MAICAS_PORT", "0")  # any free port, as --port 0
     assert default_port() == 0
+    monkeypatch.setenv("MAICAS_PORT", "65535")
+    assert default_port() == 65535
     for bad in ("65536", "-1", "port"):
         monkeypatch.setenv("MAICAS_PORT", bad)
         with pytest.raises(DomainError, match="MAICAS_PORT"):
