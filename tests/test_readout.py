@@ -124,6 +124,7 @@ class TestS11SweepContainer:
         (1.0e9, 2.0e9, 3, [-1.0, 0.5, -1.0]),    # active (gain) sample
         (-1.0, 2.0e9, 3, [-1.0, -1.0, -1.0]),    # negative frequency
         (1.0e9, 2.0e9, 3, [math.nan, 0.5, -1.0]),  # a NaN hides no gain
+        (1.0e9, 1.0e9, 3, [-1.0, -1.0, -1.0]),   # empty span
     ])
     def test_rejects_malformed(self, f_start, f_stop, n, mags):
         with pytest.raises(DomainError):

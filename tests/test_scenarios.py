@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from maicas import scenarios
@@ -474,6 +474,9 @@ class TestBrentqPort:
            rtol=st.sampled_from([8.881784197001252e-16, 8.9e-16, 1e-10,
                                  1e-3, 1e-16]),
            maxiter=st.sampled_from([100, 20, 5]))
+    # a sign step at b = 0 and xtol 1: the first half-bracket is exactly delta
+    @example(kind=4, a=0.0, width=1.0, flip=True, root_at=1.0, scale=1.0,
+             sign=1.0, xtol=1.0, rtol=8.881784197001252e-16, maxiter=100)
     def test_matches_scipy(self, kind, a, width, flip, root_at, scale, sign,
                            xtol, rtol, maxiter):
         b = a + width

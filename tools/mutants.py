@@ -24,7 +24,7 @@ the operator's index in that comparison and the swap. An allowlisted
 mutant runs only the first stage. One that the first stage kills, and an
 entry that matches no mutant, is printed for pruning; it does not fail
 the run. Standard library only; pytest runs in subprocesses. A run over
-all modules takes about 32 minutes on a 2-core host, Python 3.11."""
+all modules takes about 16 minutes on a 2-core host, Python 3.11."""
 
 from __future__ import annotations
 
