@@ -117,19 +117,28 @@ def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
     not finite and >= 0 is a DomainError, and a noisy sweep that is not
     finite (noise beyond the float range) is DegenerateInput. The seed is
     any seed numpy's PCG64 takes: an int, a sequence of ints or a
-    SeedSequence."""
+    SeedSequence. The result shares no array with the input and skips
+    S11Sweep's checks, which hold by construction: the checked input's
+    grid, and fresh float64 samples, finite and clamped at 0 dB."""
     if not 0 <= sigma_db < math.inf:
         raise DomainError(f"sigma_db must be finite and >= 0, got {sigma_db}")
     if sigma_db == 0.0:
         return sweep
     rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = rng.normal(0.0, sigma_db, sweep.n_points)
+    # normal(0.0, sigma_db) is 0.0 + sigma_db * z on the same z; the 0.0 +
+    # only turns -0.0 into 0.0, and so does the clamp below
+    noisy = rng.standard_normal(sweep.n_points)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        noisy *= sigma_db
     noisy += sweep.magnitude_db  # IEEE addition commutes: the same bits
     if not np.isfinite(noisy).all():
         raise DegenerateInput(
             f"sweep with noise of sigma_db {sigma_db!r} is not finite")
-    return S11Sweep(sweep.f_start, sweep.f_stop, sweep.n_points,
-                    np.minimum(noisy, 0.0, out=noisy))
+    np.minimum(noisy, 0.0, out=noisy)
+    noisy.setflags(write=False)
+    out = object.__new__(S11Sweep)
+    vars(out).update(vars(sweep), magnitude_db=noisy)
+    return out
 
 
 def vertex_offset(y0: float, y1: float, y2: float) -> float | None:

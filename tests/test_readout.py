@@ -219,13 +219,28 @@ class TestAddNoise:
            seed=st.integers(0, 2 ** 64 - 1))
     def test_same_bits_as_the_reference(self, clean, sigma, seed):
         """The in-place sum and clamp give the bytes of the out-of-place
-        ones, signed zeros included, and leave the clean sweep alone."""
-        sweep = S11Sweep(1.5e9, 2.0e9, clean.size, clean)
+        ones, signed zeros included, and leave the clean sweep alone. The
+        result holds what S11Sweep's checks would give it: an int point
+        count (also from an np.int64 one), a read-only float64 array of its
+        own, and fields that the constructor takes unchanged."""
+        n_points = (int, np.int64)[seed % 2](clean.size)
+        sweep = S11Sweep(1.5e9, 2.0e9, n_points, clean)
         before = sweep.magnitude_db.tobytes()
         noisy = add_noise(sweep, sigma, seed)
         assert (noisy.magnitude_db.tobytes()
                 == oracles.reference_add_noise(clean, sigma, seed).tobytes())
         assert sweep.magnitude_db.tobytes() == before
+        assert type(noisy) is S11Sweep
+        mags = noisy.magnitude_db
+        assert mags.dtype == np.float64 and mags.shape == (clean.size,)
+        assert not mags.flags.writeable and mags.flags.owndata
+        assert not np.shares_memory(mags, sweep.magnitude_db)
+        assert not np.shares_memory(mags, clean)
+        assert type(noisy.n_points) is int
+        rebuilt = S11Sweep(noisy.f_start, noisy.f_stop, noisy.n_points, mags)
+        assert rebuilt.magnitude_db.tobytes() == mags.tobytes()
+        assert ((rebuilt.f_start, rebuilt.f_stop, rebuilt.n_points)
+                == (noisy.f_start, noisy.f_stop, noisy.n_points))
 
 
 class TestFitReader:

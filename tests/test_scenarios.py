@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -19,7 +20,7 @@ from maicas.dsp import extract_resonance
 from maicas.errors import (CalibrationFailed, DegenerateInput, DomainError,
                            GridTooCoarse, NoResonance)
 from maicas.geometry import DeviceGeometry, LoopGeometry
-from maicas.readout import add_noise
+from maicas.readout import S11Sweep, add_noise
 from maicas.scenarios import (MODE_SPECS, MODES, ExperimentConfig, _brentq,
                               _repeat_seed_class, _seed_words, default_config,
                               fit_scenario_coupling, run_experiment)
@@ -618,6 +619,50 @@ class TestRunExperiment:
         assert all(b < a for a, b in zip(means, means[1:]))
         assert result.summary.slope < 0.0
         assert result.summary.measurand_unit == "rel-permittivity"
+
+    def test_only_the_clean_sweeps_pass_the_constructor(self, monkeypatch):
+        """A cold plan builds one clean sweep per grid point through
+        S11Sweep's checks; noisy sweeps never do, so a warm run builds
+        none."""
+        calls = []
+        checks = S11Sweep.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            checks(self)
+
+        monkeypatch.setattr(S11Sweep, "__post_init__", counted)
+        config = default_config("graft_pressure")
+        scenarios._plan.cache_clear()
+        run_experiment(config)
+        assert len(calls) == len(config.measurand_grid)
+        calls.clear()
+        result = run_experiment(config)
+        assert calls == []
+        assert sum(len(p.sweeps) for p in result.points) == 20
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stock_simulate_outputs_are_the_snapshot(self, mode):
+        """The sha256 of summary.csv, model.json and config.json as
+        `simulate --mode MODE --seed 0` writes them, and of every noisy
+        sweep's magnitude_db bytes in grid and repeat order."""
+        config = default_config(mode, seed=0)
+        result = run_experiment(config)
+        digests = {
+            "summary.csv": result.to_summary_csv(),
+            "model.json": result.summary.to_json() + "\n",
+            "config.json": config.to_json() + "\n",
+        }
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in digests.items()}
+        mags = hashlib.sha256()
+        for point in result.points:
+            for sweep in point.sweeps:
+                mags.update(sweep.magnitude_db.tobytes())
+        digests["magnitude_db"] = mags.hexdigest()
+        snapshot = json.loads(
+            (SNAPSHOT_DIR / "simulate_seed0.json").read_text())
+        assert digests == snapshot[mode]
 
 
 def media_f0(device, cal, rel_permittivity):
