@@ -50,6 +50,13 @@ def _check_grid(f_start: float, f_stop: float, n_points: int) -> None:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
 
 
+def _check_passive(mags: np.ndarray) -> None:
+    """DomainError when a sample, NaN aside, is above 1e-9 dB."""
+    # fmax skips NaN: the largest other sample, with no boolean temporary
+    if np.fmax.reduce(mags) > 1e-9:
+        raise DomainError("reflection magnitude above 0 dB is not passive")
+
+
 @dataclass(frozen=True, eq=False)
 class S11Sweep:
     """Reflection magnitude on a uniform inclusive frequency grid."""
@@ -67,9 +74,7 @@ class S11Sweep:
         if mags.shape != (self.n_points,):
             raise DomainError(
                 f"magnitude_db length {mags.shape} does not match n_points {self.n_points}")
-        # fmax skips NaN: the largest other sample, with no boolean temporary
-        if np.fmax.reduce(mags) > 1e-9:
-            raise DomainError("reflection magnitude above 0 dB is not passive")
+        _check_passive(mags)
         mags.setflags(write=False)
         object.__setattr__(self, "magnitude_db", mags)
 

@@ -38,7 +38,7 @@ from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
                      InvalidGrid, MaicasError, MalformedLength,
                      UnsupportedVersion)
 from .jsonio import read_text
-from .readout import S11Sweep, _check_grid
+from .readout import S11Sweep, _check_grid, _check_passive
 
 if TYPE_CHECKING:
     import socketserver
@@ -97,6 +97,7 @@ class TelemetryFrame:
 
     @property
     def sweep(self) -> S11Sweep:
+        """Through all of S11Sweep's checks: a hand-built frame had none."""
         return S11Sweep(self.f_start, self.f_stop, self.n_points,
                         self.magnitude_db)
 
@@ -120,7 +121,8 @@ def decode_frame(buf: bytes) -> TelemetryFrame:
     """Parse and validate one complete frame buffer.
 
     Validation order: structural length, checksum, magic, version, declared
-    point count against the buffer, grid sanity.
+    point count against the buffer, grid sanity. magnitude_db is a fresh
+    read-only float64 array, so a sweep can share it.
     """
     if len(buf) < HEADER_SIZE + 4:
         raise MalformedLength(
@@ -148,6 +150,7 @@ def decode_frame(buf: bytes) -> TelemetryFrame:
         raise InvalidGrid(str(exc)) from None
     mags = np.frombuffer(buf, dtype="<f4", count=n_points,
                          offset=HEADER_SIZE).astype(np.float64)
+    mags.setflags(write=False)
     return TelemetryFrame(device_id, timestamp_us, f_start, f_stop,
                           int(n_points), mags)
 
@@ -300,7 +303,13 @@ def record_from_frame(raw: bytes, model: CalibrationModel, *,
     try:
         frame = decode_frame(raw)
         device_id, timestamp_us = frame.device_id, frame.timestamp_us
-        estimate = extract_resonance(frame.sweep)
+        # decode_frame holds all S11Sweep's rules but passivity; check it
+        _check_passive(frame.magnitude_db)
+        sweep = object.__new__(S11Sweep)
+        vars(sweep).update(f_start=frame.f_start, f_stop=frame.f_stop,
+                           n_points=frame.n_points,
+                           magnitude_db=frame.magnitude_db)
+        estimate = extract_resonance(sweep)
         inversion = invert(model, estimate.f0_hat)
     except MaicasError as exc:
         return MeasurandRecord(

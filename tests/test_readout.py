@@ -130,6 +130,14 @@ class TestS11SweepContainer:
         with pytest.raises(DomainError):
             S11Sweep(f_start, f_stop, n, mags)
 
+    def test_passivity_allows_exactly_1e_9_db(self):
+        """The rounding allowance's edge: 1e-9 dB is passive, the next
+        double above it is not."""
+        assert S11Sweep(1.0e9, 2.0e9, 3, [-1.0, 1e-9, -1.0]).n_points == 3
+        with pytest.raises(DomainError, match="^reflection magnitude above "
+                                              "0 dB is not passive$"):
+            S11Sweep(1.0e9, 2.0e9, 3, [-1.0, np.nextafter(1e-9, 1), -1.0])
+
     @pytest.mark.parametrize("n", [3.0, np.float64(3.0), "3", True, None,
                                    2.5], ids=["float", "numpy-float", "str",
                                               "bool", "None", "fraction"])

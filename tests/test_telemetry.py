@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import socket
 import struct
 import tempfile
@@ -20,10 +21,12 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from maicas import telemetry
-from maicas.calibration import fit_linear
+from maicas.calibration import fit_linear, invert
+from maicas.dsp import extract_resonance
 from maicas.errors import (BadMagic, ChecksumMismatch, DomainError,
-                           FrameError, InvalidGrid, MalformedLength,
-                           OutOfModelRange, UnsupportedVersion)
+                           FrameError, InvalidGrid, MaicasError,
+                           MalformedLength, OutOfModelRange,
+                           UnsupportedVersion)
 from maicas.readout import S11Sweep, add_noise, s11_spectrum
 from maicas.telemetry import (HEADER_SIZE, LOG_SCHEMA, MAGIC,
                               MAX_STREAM_POINTS, GatewayStats,
@@ -79,6 +82,27 @@ def mixed_frames(sweep_pool):
 
 def record_of(raw, model) -> MeasurandRecord:
     return record_from_frame(raw, model, cal_id=calibration_id_of(model))
+
+
+def constructor_path_record(raw, model) -> MeasurandRecord:
+    """The record of raw with its sweep built by S11Sweep's constructor,
+    through TelemetryFrame.sweep, as record_from_frame once built it."""
+    device_id = timestamp_us = 0
+    cal_id = calibration_id_of(model)
+    try:
+        frame = decode_frame(raw)
+        device_id, timestamp_us = frame.device_id, frame.timestamp_us
+        estimate = extract_resonance(frame.sweep)
+        inversion = invert(model, estimate.f0_hat)
+    except MaicasError as exc:
+        error = re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
+        return MeasurandRecord(device_id, timestamp_us, None, None,
+                               model.measurand_unit, cal_id, "no_resonance",
+                               error)
+    return MeasurandRecord(
+        device_id, timestamp_us, estimate.f0_hat, inversion.value,
+        model.measurand_unit, cal_id,
+        "extrapolated" if inversion.extrapolated else "ok")
 
 
 def log_frame_by_frame(frames, model, path) -> bytes:
@@ -157,6 +181,27 @@ class TestRoundTrip:
         sweep = frame.sweep
         assert isinstance(sweep, S11Sweep)
         assert sweep.n_points == sweep_pool[0].n_points
+
+    @pytest.mark.parametrize("f_start,f_stop,mags,message", [
+        (math.nan, 2.0e9, (-1.0, -9.0, -1.0), "need 0 < f_start < f_stop"),
+        (1.5e9, math.nan, (-1.0, -9.0, -1.0), "need 0 < f_start < f_stop"),
+        (1.5e9, 2.0e9, (-1.0, 0.5, -1.0), "not passive")],
+        ids=["nan-start", "nan-stop", "above-0-db"])
+    def test_sweep_property_checks_a_hand_built_frame(self, f_start, f_stop,
+                                                      mags, message):
+        """A frame decode_frame did not make has had no checks, so its
+        sweep goes through all of S11Sweep's."""
+        frame = telemetry.TelemetryFrame(1, 0, f_start, f_stop, 3,
+                                         np.array(mags))
+        with pytest.raises(DomainError, match=message):
+            frame.sweep
+
+    def test_decoded_samples_are_read_only(self, sweep_pool):
+        frame = decode_frame(encode_frame(1, 0, sweep_pool[0]))
+        assert frame.magnitude_db.dtype == np.float64
+        assert frame.magnitude_db.flags.owndata
+        with pytest.raises(ValueError):
+            frame.magnitude_db[0] = 0.0
 
     @pytest.mark.parametrize("device_id,timestamp", [
         (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64),
@@ -302,6 +347,42 @@ class TestHostileFrames:
         log = tmp_path / "log.ndjson"
         process_frames([raw], pressure_model, log)
         assert read_log(log) == [expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=rebuilt_frames())
+    def test_same_records_as_the_constructor_path(self, raw, pressure_model):
+        """Building the sweep from decode_frame's checked fields, with only
+        passivity left to check, gives the record S11Sweep's constructor
+        gives, for NaN, ±inf, subnormal and above-0-dB samples too."""
+        with np.errstate(all="ignore"):
+            got = record_of(raw, pressure_model)
+            want = constructor_path_record(raw, pressure_model)
+        assert (oracles.reference_record_to_json(got)
+                == oracles.reference_record_to_json(want))
+
+    def test_same_records_as_the_constructor_path_on_measurements(
+            self, sweep_pool, pressure_model):
+        frames = mixed_frames(sweep_pool)
+        got = [record_of(raw, pressure_model) for raw in frames]
+        assert got == [constructor_path_record(raw, pressure_model)
+                       for raw in frames]
+        assert {record.quality for record in got} == {"ok", "no_resonance"}
+
+    @pytest.mark.parametrize("sample,refused", [
+        (np.nextafter(np.float32(1e-9), np.float32(1)), True),
+        (np.float32(1e-9), False)], ids=["above", "at"])
+    def test_passivity_edge_of_a_float32_sample(
+            self, sweep_pool, pressure_model, sample, refused):
+        """The float32 neighbour above 1e-9 widens to about 1.0000000827e-09,
+        past the constructor's 1e-9 rounding allowance; 1e-9 itself widens
+        to about 9.9999997e-10, inside it."""
+        mags = sweep_pool[0].magnitude_db.copy()
+        mags[10] = sample
+        raw = crafted_frame(device_id=42, timestamp=4242, mags=mags)
+        record = record_of(raw, pressure_model)
+        assert (record.device_id, record.timestamp_us) == (42, 4242)
+        assert (record.error == "domain_error") is refused
+        assert record == constructor_path_record(raw, pressure_model)
 
     @pytest.mark.parametrize("index", [100, 399])
     def test_minus_inf_sample_is_a_domain_error_record(
@@ -459,6 +540,23 @@ class TestLog:
         assert [r["quality"] for r in records] == \
                ["ok", "ok", "no_resonance", "ok", "ok"]
         assert records[2]["error"] == "checksum_mismatch"
+
+    def test_no_constructor_pass_per_frame(self, sweep_pool, pressure_model,
+                                           tmp_path, monkeypatch):
+        """decode_frame checks the grid, so record_from_frame builds each
+        frame's sweep without S11Sweep's constructor."""
+        calls = []
+        checks = S11Sweep.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            checks(self)
+
+        frames = frames_from_sweeps(sweep_pool[:8])
+        monkeypatch.setattr(S11Sweep, "__post_init__", counted)
+        counts = process_frames(frames, pressure_model, tmp_path / "log")
+        assert sum(counts.values()) == 8
+        assert calls == []
 
     def test_model_hashed_once_per_call(self, sweep_pool, pressure_model,
                                         tmp_path, id_calls):

@@ -12,11 +12,12 @@ stripped, with its reason when ALLOWLIST holds it.
 
 Exits 1 when pytest fails or when an unreached line is not on ALLOWLIST,
 0 otherwise. An allowlist entry is keyed by module, scope (the innermost
-function or class holding the line) and stripped line text, not by line
-number, so it survives edits elsewhere in the file; it covers every line
-of that scope with that text. An entry whose lines all ran is printed as
-reached, for pruning; it does not fail the run, since tests drawn by
-hypothesis can reach a line in one run and not the next.
+function or class holding the line), stripped line text and occurrence
+(0 for the first executable line of that scope with that text, 1 for the
+second, and so on), not by line number, so it survives edits elsewhere in
+the file. An entry whose line ran is printed as reached, for pruning; it
+does not fail the run, since tests drawn by hypothesis can reach a line
+in one run and not the next.
 
 Lines run only in a subprocess (the CLI entry point, `serve`) are not seen:
 the tracer does not follow a child process. Tracing about doubles tier-1's
@@ -25,6 +26,7 @@ and pytest only."""
 
 from __future__ import annotations
 
+import collections
 import os
 import sys
 import threading
@@ -41,27 +43,39 @@ _SERVE = ("a started server runs only in the subprocesses of test_workflow "
 _ENTRY = "the console-script entry point runs only in subprocesses"
 _PORT = "a line of _brentq's bit-for-bit port of scipy's brentq"
 
-# (module, scope, stripped line text): why the line may stay unreached
+# (module, scope, stripped line text, occurrence): why the line may stay
+# unreached
 ALLOWLIST = {
-    **{("cli", "_cmd_serve", text): _SERVE for text in (
+    **{("cli", "_cmd_serve", text, 0): _SERVE for text in (
         "port = server.server_address[1]  # the bound one, also for --port 0",
         "with server:",
         'print(f"serving {len(frames)} frames on {args.host}:{port}",',
         "flush=True)",
         "thread.join()",
         "return 0")},
-    **{("cli", "entrypoint", text): _ENTRY for text in (
+    **{("cli", "entrypoint", text, 0): _ENTRY for text in (
         "try:", "sys.exit(main())", "except KeyboardInterrupt:",
         "sys.exit(130)")},
-    ("cli", "<module>", "entrypoint()"): _ENTRY,
-    ("telemetry", "<module>", "import socketserver"):
+    ("cli", "<module>", "entrypoint()", 0): _ENTRY,
+    ("telemetry", "<module>", "import socketserver", 0):
         "imported under TYPE_CHECKING, for start_server's annotation only",
-    ("scenarios", "_brentq", "return xcur"): _PORT + ": an exact root",
-    ("scenarios", "_brentq", "except ZeroDivisionError:"):
+    ("scenarios", "_brentq", "return xcur", 0):
+        _PORT + ": an exact root at the bracket's second end",
+    ("scenarios", "_brentq", "except ZeroDivisionError:", 0):
         _PORT + ": where C divides to an inf or a NaN",
-    ("scenarios", "_brentq", "pass"):
+    ("scenarios", "_brentq", "pass", 0):
         _PORT + ": where C divides to an inf or a NaN",
 }
+
+
+def occurrences(items) -> list[int]:
+    """For each item, how many equal items come before it."""
+    seen = collections.Counter()
+    out = []
+    for item in items:
+        out.append(seen[item])
+        seen[item] += 1
+    return out
 
 
 def scoped_lines(code: types.CodeType,
@@ -126,16 +140,20 @@ def reached_lines(package: Path, run) -> tuple[object, dict[str, set[int]]]:
 
 
 def unreached(package: Path, seen: dict[str, set[int]]
-              ) -> list[tuple[str, int, str, str]]:
-    """(module, line, scope, stripped text) of each executable line not
-    seen."""
+              ) -> list[tuple[int, tuple[str, str, str, int]]]:
+    """The line number and allowlist key (module, scope, stripped text,
+    occurrence) of each executable line not seen."""
     out = []
     for name, path in modules(package).items():
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
         lines = scoped_lines(compile(source, str(path), "exec"))
-        out += [(name, line, lines[line], text[line - 1].strip())
-                for line in sorted(lines.keys() - seen[name])]
+        numbers = sorted(lines)
+        places = [(lines[line], text[line - 1].strip()) for line in numbers]
+        out += [(line, (name, scope, stripped, occurrence))
+                for line, (scope, stripped), occurrence
+                in zip(numbers, places, occurrences(places))
+                if line not in seen[name]]
     return out
 
 
@@ -146,13 +164,13 @@ def main(pytest_args=None, package: Path = PACKAGE,
     code, seen = reached_lines(package, lambda: pytest.main(args))
     missed = unreached(package, seen)
     failed = 0
-    for name, line, scope, text in missed:
-        reason = allowlist.get((name, scope, text))
+    for line, key in missed:
+        reason = allowlist.get(key)
         failed += reason is None
-        print(f"{name}:{line}: {text}"
+        print(f"{key[0]}:{line}: {key[2]}"
               + (f"  [allowlisted: {reason}]" if reason else ""))
-    for key in sorted(allowlist.keys() - {(n, s, t) for n, _, s, t in missed}):
-        print("reached, allowlisted: {}:{}: {}".format(*key))
+    for key in sorted(allowlist.keys() - {key for _, key in missed}):
+        print("reached, allowlisted: {}:{}: {}  [occurrence {}]".format(*key))
     print(f"{len(missed)} unreached lines, {failed} not allowlisted; "
           f"pytest exit {int(code)}")
     return 1 if failed or code else 0
