@@ -3,8 +3,9 @@
 The stub module has one line its stub test never runs. Off the allowlist,
 the tool names it and exits 1; allowlisted by module, scope, text and
 occurrence, it exits 0. A second stub module holds one line twice in a
-scope, where the test runs the first and not the second. The tool runs the stub's tests in this process, as it runs
-tier-1. The script is loaded by its path, since tools/ is not a package.
+scope, where the test runs the first and not the second. The tool runs
+the stub's tests in this process, as it runs tier-1. The script is loaded
+by its path, since tools/ is not a package.
 """
 
 import importlib.util

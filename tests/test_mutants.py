@@ -3,10 +3,10 @@
 The stub module has one comparison, `x > 0`, and so one mutant, `x >= 0`.
 Its stub test checks sign(1) only, so the mutant survives; a test of
 sign(0) kills it. A second stub module holds `x > 0` twice in one scope,
-told apart by the occurrence index in the allowlist key. The tool copies the stub's root and runs pytest on the
-copy in subprocesses, with plugin autoloading off so that each run starts
-in a fraction of a second. The script is loaded by its path, since tools/
-is not a package.
+told apart by the occurrence index in the allowlist key. The tool copies
+the stub's root and runs pytest on the copy in subprocesses, with plugin
+autoloading off so that each run starts in a fraction of a second. The
+script is loaded by its path, since tools/ is not a package.
 """
 
 import importlib.util

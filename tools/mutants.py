@@ -22,11 +22,11 @@ function or class, named as tools/line_reach.py names it), the
 comparison's source text with its whitespace runs collapsed to one space,
 its occurrence (0 for the first comparison of that scope with that text
 in source order, 1 for the second, and so on), the operator's index in
-that comparison and the swap. An allowlisted
-mutant runs only the first stage. One that the first stage kills, and an
-entry that matches no mutant, is printed for pruning; it does not fail
-the run. Standard library only; pytest runs in subprocesses. A run over
-all modules takes about 16 minutes on a 2-core host, Python 3.11."""
+that comparison and the swap. An allowlisted mutant runs only the first
+stage. One that the first stage kills, and an entry that matches no
+mutant, is printed for pruning; it does not fail the run. Standard
+library only; pytest runs in subprocesses. A run over all modules takes
+about 16 minutes on a 2-core host, Python 3.11."""
 
 from __future__ import annotations
 
