@@ -83,6 +83,17 @@ class S11Sweep:
         return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
+def _sweep_of_checked(f_start: float, f_stop: float, n_points: int,
+                      mags: np.ndarray) -> S11Sweep:
+    """The S11Sweep of values that already hold all its checks: an int
+    n_points, a grid _check_grid takes, and a read-only float64 mags of
+    n_points samples that _check_passive takes. Skips the constructor."""
+    sweep = object.__new__(S11Sweep)
+    vars(sweep).update(f_start=f_start, f_stop=f_stop, n_points=n_points,
+                       magnitude_db=mags)
+    return sweep
+
+
 def _impedance(circuit: LumpedCircuit, reader: ReaderCouple,
                f: np.ndarray) -> np.ndarray:
     """Impedance looking into the reader port at the frequencies f."""
@@ -141,9 +152,8 @@ def add_noise(sweep: S11Sweep, sigma_db: float, seed) -> S11Sweep:
             f"sweep with noise of sigma_db {sigma_db!r} is not finite")
     np.minimum(noisy, 0.0, out=noisy)
     noisy.setflags(write=False)
-    out = object.__new__(S11Sweep)
-    vars(out).update(vars(sweep), magnitude_db=noisy)
-    return out
+    return _sweep_of_checked(sweep.f_start, sweep.f_stop, sweep.n_points,
+                             noisy)
 
 
 def vertex_offset(y0: float, y1: float, y2: float) -> float | None:

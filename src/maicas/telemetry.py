@@ -38,7 +38,8 @@ from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
                      InvalidGrid, MaicasError, MalformedLength,
                      UnsupportedVersion)
 from .jsonio import read_text
-from .readout import S11Sweep, _check_grid, _check_passive
+from .readout import (S11Sweep, _check_grid, _check_passive,
+                      _sweep_of_checked)
 
 if TYPE_CHECKING:
     import socketserver
@@ -303,13 +304,10 @@ def record_from_frame(raw: bytes, model: CalibrationModel, *,
     try:
         frame = decode_frame(raw)
         device_id, timestamp_us = frame.device_id, frame.timestamp_us
-        # decode_frame holds all S11Sweep's rules but passivity; check it
+        # decode_frame checked the grid and the sample count; not passivity
         _check_passive(frame.magnitude_db)
-        sweep = object.__new__(S11Sweep)
-        vars(sweep).update(f_start=frame.f_start, f_stop=frame.f_stop,
-                           n_points=frame.n_points,
-                           magnitude_db=frame.magnitude_db)
-        estimate = extract_resonance(sweep)
+        estimate = extract_resonance(_sweep_of_checked(
+            frame.f_start, frame.f_stop, frame.n_points, frame.magnitude_db))
         inversion = invert(model, estimate.f0_hat)
     except MaicasError as exc:
         return MeasurandRecord(
