@@ -67,6 +67,7 @@ MAX_STREAM_POINTS = 1 << 24
 
 LOG_SCHEMA = "maicas-log/1"
 _SCHEMA_LINE = (json.dumps({"schema": LOG_SCHEMA}) + "\n").encode()
+_TAIL_BLOCK = 1 << 16  # bytes _prepare_append reads back at a time
 
 
 def _checked_port(port: int, source: str) -> int:
@@ -118,13 +119,9 @@ def encode_frame(device_id: int, timestamp_us: int, sweep: S11Sweep) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def decode_frame(buf: bytes) -> TelemetryFrame:
-    """Parse and validate one complete frame buffer.
-
-    Validation order: structural length, checksum, magic, version, declared
-    point count against the buffer, grid sanity. magnitude_db is a fresh
-    read-only float64 array, so a sweep can share it.
-    """
+def _decode(buf: bytes) -> tuple:
+    """decode_frame's six checked fields, in TelemetryFrame's order, with
+    no frame built: record_from_frame reads them straight off the tuple."""
     if len(buf) < HEADER_SIZE + 4:
         raise MalformedLength(
             f"frame of {len(buf)} bytes is shorter than the minimum "
@@ -152,8 +149,17 @@ def decode_frame(buf: bytes) -> TelemetryFrame:
     mags = np.frombuffer(buf, dtype="<f4", count=n_points,
                          offset=HEADER_SIZE).astype(np.float64)
     mags.setflags(write=False)
-    return TelemetryFrame(device_id, timestamp_us, f_start, f_stop,
-                          int(n_points), mags)
+    return device_id, timestamp_us, f_start, f_stop, n_points, mags
+
+
+def decode_frame(buf: bytes) -> TelemetryFrame:
+    """Parse and validate one complete frame buffer.
+
+    Validation order: structural length, checksum, magic, version, declared
+    point count against the buffer, grid sanity. magnitude_db is a fresh
+    read-only float64 array, so a sweep can share it.
+    """
+    return TelemetryFrame(*_decode(buf))
 
 
 def read_frame(stream) -> bytes | None:
@@ -302,12 +308,12 @@ def record_from_frame(raw: bytes, model: CalibrationModel, *,
     """
     device_id = timestamp_us = 0
     try:
-        frame = decode_frame(raw)
-        device_id, timestamp_us = frame.device_id, frame.timestamp_us
-        # decode_frame checked the grid and the sample count; not passivity
-        _check_passive(frame.magnitude_db)
+        device_id, timestamp_us, f_start, f_stop, n_points, mags = \
+            _decode(raw)
+        # _decode checked the grid and the sample count; not passivity
+        _check_passive(mags)
         estimate = extract_resonance(_sweep_of_checked(
-            frame.f_start, frame.f_stop, frame.n_points, frame.magnitude_db))
+            f_start, f_stop, n_points, mags))
         inversion = invert(model, estimate.f0_hat)
     except MaicasError as exc:
         return MeasurandRecord(
@@ -341,7 +347,7 @@ def _entries(data: bytes) -> list | None:
     where it would refuse one of them."""
     try:
         return [json.loads(line) for line in data.decode("utf-8").splitlines()]
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except ValueError:  # not UTF-8, not JSON, or an int past the digit limit
         return None
 
 
@@ -374,17 +380,30 @@ def _prepare_append(path: Path) -> int:
             return 0
         fh.seek(0)
         _check_head(path, fh.readline())
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
+        kept = _last_line_start(fh, size)
+        if kept == size:
             return size
-        fh.seek(0)
-        data = fh.read()
-        kept = data.rfind(b"\n") + 1
-        if _entries(data[kept:]) is not None:
+        fh.seek(kept)
+        if _entries(fh.read()) is not None:
             fh.write(b"\n")
             return size + 1
         fh.truncate(kept)
         return kept
+
+
+def _last_line_start(fh, size: int) -> int:
+    """The offset just past the last newline of a file of size bytes, 0
+    when it has none. Reads back from the end _TAIL_BLOCK bytes at a time,
+    so a long log is not read whole."""
+    end = size
+    while end:
+        start = max(end - _TAIL_BLOCK, 0)
+        fh.seek(start)
+        newline = fh.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0
 
 
 class _LogWriter:
@@ -403,22 +422,29 @@ class _LogWriter:
     def __init__(self, path):
         self.path = Path(path)
         fresh = _prepare_append(self.path) == 0
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab", buffering=0)
         if fresh:
-            self._write(_SCHEMA_LINE.decode())
+            self._write(_SCHEMA_LINE)
 
-    def _write(self, text: str) -> None:
-        self._fh.write(text)
-        self._fh.flush()
+    def _write(self, data: bytes) -> None:
+        """data in one unbuffered write, so it is in the file when this
+        returns; a short write is finished, never dropped."""
+        done = self._fh.write(data)
+        while done < len(data):
+            more = self._fh.write(data[done:])
+            if not more:
+                raise OSError(f"{self.path}: a write took none of the last "
+                              f"{len(data) - done} bytes of a line")
+            done += more
 
     def append(self, record: MeasurandRecord) -> None:
-        self._write(
+        self._write((
             f'{{"device_id": {_json_number(record.device_id)}, '
             f'"timestamp_us": {_json_number(record.timestamp_us)}, '
             f'"f0_hat_hz": {_json_number(record.f0_hat_hz)}, '
             f'"measurand_value": {_json_number(record.measurand_value)}, '
             + _record_tail(record.measurand_unit, record.calibration_id,
-                           record.quality, record.error))
+                           record.quality, record.error)).encode())
 
     def close(self) -> None:
         self._fh.close()
@@ -434,9 +460,9 @@ def read_log(path) -> list[dict]:
     for number, line in enumerate(lines, 1):
         try:
             entries.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise DomainError(
-                f"{path}: line {number} is not JSON ({exc.msg})") from None
+        except ValueError as exc:  # also an int past Python's digit limit
+            raise DomainError(f"{path}: line {number} is not JSON "
+                              f"({getattr(exc, 'msg', exc)})") from None
     head = entries[0]
     if not _is_schema(head):
         raise DomainError(f"{path}: unknown log schema {head!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
@@ -312,10 +312,11 @@ class TestHostileFrames:
 
     @staticmethod
     def decodes_or_frame_error(raw, model):
-        """Also: building the sweep from decode_frame's checked fields, with
-        only passivity left to check, gives the record S11Sweep's
-        constructor gives, for NaN, ±inf, subnormal and above-0-dB samples
-        too."""
+        """Also: decode_frame's six fields are _decode's tuple, which
+        record_from_frame reads; and building the sweep from those checked
+        fields, with only passivity left to check, gives the record
+        S11Sweep's constructor gives, for NaN, ±inf, subnormal and
+        above-0-dB samples too."""
         try:
             frame = decode_frame(raw)
         except FrameError:
@@ -323,6 +324,11 @@ class TestHostileFrames:
         else:
             assert frame.n_points == frame.magnitude_db.size >= 2
             assert 0 < frame.f_start < frame.f_stop < math.inf
+            assert type(frame.n_points) is int
+            *head, mags = telemetry._decode(raw)
+            assert tuple(vars(frame).values())[:5] == tuple(head)
+            assert frame.magnitude_db.tobytes() == mags.tobytes()
+            assert not mags.flags.writeable
         with np.errstate(all="ignore"):
             got = record_of(raw, model)
             want = constructor_path_record(raw, model)
@@ -356,25 +362,6 @@ class TestHostileFrames:
         process_frames([raw], pressure_model, log)
         assert read_log(log) == [expected]
 
-    @staticmethod
-    def decodes_or_frame_error(raw, model):
-        """Also: building the sweep from decode_frame's checked fields, with
-        only passivity left to check, gives the record S11Sweep's
-        constructor gives, for NaN, ±inf, subnormal and above-0-dB samples
-        too."""
-        try:
-            frame = decode_frame(raw)
-        except FrameError:
-            pass
-        else:
-            assert frame.n_points == frame.magnitude_db.size >= 2
-            assert 0 < frame.f_start < frame.f_stop < math.inf
-        with np.errstate(all="ignore"):
-            got = record_of(raw, model)
-            want = constructor_path_record(raw, model)
-        assert isinstance(got, MeasurandRecord)
-        assert (oracles.reference_record_to_json(got)
-                == oracles.reference_record_to_json(want))
     def test_same_records_as_the_constructor_path_on_measurements(
             self, sweep_pool, pressure_model):
         frames = mixed_frames(sweep_pool)
@@ -573,6 +560,25 @@ class TestLog:
         assert sum(counts.values()) == 8
         assert calls == []
 
+    def test_no_frame_built_per_frame(self, sweep_pool, pressure_model,
+                                      tmp_path, monkeypatch):
+        """record_from_frame reads _decode's tuple; only decode_frame builds
+        a TelemetryFrame."""
+        calls = []
+        init = telemetry.TelemetryFrame.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        frames = mixed_frames(sweep_pool)
+        monkeypatch.setattr(telemetry.TelemetryFrame, "__init__", counted)
+        counts = process_frames(frames, pressure_model, tmp_path / "log")
+        assert sum(counts.values()) == len(frames)
+        assert calls == []
+        decode_frame(frames[0])
+        assert len(calls) == 1
+
     def test_model_hashed_once_per_call(self, sweep_pool, pressure_model,
                                         tmp_path, id_calls):
         frames = mixed_frames(sweep_pool)
@@ -623,6 +629,19 @@ class TestLog:
         assert log.read_bytes().startswith(whole)
         assert len(read_log(log)) == 3
 
+    def test_torn_tail_behind_more_than_one_block(
+            self, sweep_pool, pressure_model, tmp_path):
+        """_prepare_append reads back from the end a block at a time, past
+        a torn line longer than several blocks, to the newline before it."""
+        frames = frames_from_sweeps(sweep_pool[:3])
+        log = tmp_path / "telemetry.ndjson"
+        process_frames(frames[:2], pressure_model, log)
+        with log.open("ab") as fh:  # digits past json's int limit, too
+            fh.write(b'{"device_id": ' + b"9" * (3 * telemetry._TAIL_BLOCK))
+        process_frames(frames[2:], pressure_model, log)
+        assert log.read_bytes() == log_frame_by_frame(
+            frames, pressure_model, tmp_path / "clean.ndjson")
+
     def test_torn_schema_line_is_rewritten(self, sweep_pool, pressure_model,
                                            tmp_path):
         log = tmp_path / "telemetry.ndjson"
@@ -650,6 +669,72 @@ class TestLog:
         finally:
             writer.close()
 
+    def test_one_write_per_record(self, sweep_pool, pressure_model,
+                                  tmp_path):
+        records = [record_of(raw, pressure_model)
+                   for raw in mixed_frames(sweep_pool)]
+        writer = _LogWriter(tmp_path / "log.ndjson")
+        fh = writer._fh = _ShortWrites(writer._fh)
+        try:
+            for record in records:
+                writer.append(record)
+        finally:
+            writer.close()
+        assert fh.calls == [
+            (oracles.reference_record_to_json(r) + "\n").encode()
+            for r in records]
+
+    @pytest.mark.parametrize("most", [1, 7, 100])
+    def test_a_short_write_is_finished(self, sweep_pool, pressure_model,
+                                       tmp_path, most):
+        """A write that takes at most `most` bytes is followed by writes of
+        the rest, so the log is the one full writes give."""
+        frames = mixed_frames(sweep_pool)
+        full = log_frame_by_frame(frames, pressure_model,
+                                  tmp_path / "full.ndjson")
+        log = tmp_path / "short.ndjson"
+        log.write_bytes(full[:full.index(b"\n") + 1])  # the schema line
+        writer = _LogWriter(log)
+        fh = writer._fh = _ShortWrites(writer._fh, most)
+        try:
+            for raw in frames:
+                writer.append(record_of(raw, pressure_model))
+        finally:
+            writer.close()
+        assert log.read_bytes() == full
+        assert len(fh.calls) > len(frames)
+        assert all(len(data) > 0 for data in fh.calls)
+
+    def test_a_write_that_takes_nothing_is_an_os_error(
+            self, sweep_pool, pressure_model, tmp_path):
+        """Not a silently cut line: the append raises, and the next writer
+        drops the torn line as it drops any other."""
+        frames = frames_from_sweeps(sweep_pool[:3])
+        log = tmp_path / "log.ndjson"
+        process_frames(frames[:2], pressure_model, log)
+        whole = log.read_bytes()
+        writer = _LogWriter(log)
+        writer._fh = _ShortWrites(writer._fh, 10, stall_after=1)
+        try:
+            with pytest.raises(OSError, match=re.escape(
+                    f"{log}: a write took none of the last ")):
+                writer.append(record_of(frames[2], pressure_model))
+        finally:
+            writer.close()
+        assert log.read_bytes().startswith(whole)
+        assert len(log.read_bytes()) == len(whole) + 10
+        process_frames(frames[2:], pressure_model, log)
+        assert log.read_bytes() == log_frame_by_frame(
+            frames, pressure_model, tmp_path / "clean.ndjson")
+
+    def test_read_log_refuses_an_int_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long.ndjson"
+        path.write_text(f'{{"schema": "{LOG_SCHEMA}"}}\n'
+                        f'{{"device_id": {"9" * 5000}}}\n')
+        with pytest.raises(DomainError, match=(
+                "long.ndjson: line 2 is not JSON .*4300 digits")):
+            read_log(path)
+
     def test_read_log_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text('{"schema": "other/9"}\n')
@@ -661,6 +746,24 @@ class TestLog:
         path.write_text('["schema"]\n')
         with pytest.raises(DomainError):
             read_log(path)
+
+
+class _ShortWrites:
+    """A log file that records each write's bytes and writes at most `most`
+    of them, or none after `stall_after` writes."""
+
+    def __init__(self, fh, most=None, stall_after=None):
+        self.fh, self.most, self.stall_after = fh, most, stall_after
+        self.calls = []
+
+    def write(self, data):
+        self.calls.append(bytes(data))
+        if self.stall_after is not None and len(self.calls) > self.stall_after:
+            return 0
+        return self.fh.write(data[:self.most])
+
+    def close(self):
+        self.fh.close()
 
 
 _NUMBERS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.nan,
@@ -777,6 +880,36 @@ class TestLogHead:
             before = _records(whole_lines) if whole_lines else []
         if before is not None:
             assert json.dumps(after) == json.dumps(before + new)
+
+    @settings(max_examples=300, deadline=None)
+    @given(existing=_EXISTING, block=st.integers(1, 9))
+    @example(existing=_SCHEMA_BYTES + b'{"torn', block=1)
+    @example(existing=_SCHEMA_BYTES + b'{"device_id": 1}', block=1)
+    def test_read_back_block_leaves_what_a_whole_read_left(self, existing,
+                                                           block):
+        """Whatever the block size, _prepare_append keeps a last line that
+        parses, adding its newline, and cuts any other back to the last
+        newline, as when it read the whole file to find that newline."""
+        if existing and not existing.endswith(b"\n"):
+            kept = existing.rfind(b"\n") + 1
+            if telemetry._entries(existing[kept:]) is not None:
+                want = existing + b"\n"
+            else:
+                want = existing[:kept]
+        else:
+            want = existing
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(telemetry, "_TAIL_BLOCK", block)
+            path = Path(tmp) / "log.ndjson"
+            path.write_bytes(existing)
+            try:
+                size = telemetry._prepare_append(path)
+            except DomainError:
+                assert path.read_bytes() == existing
+                return
+            assert path.read_bytes() == want
+            assert size == len(want)
 
     @pytest.mark.parametrize("content,head", [
         (b'hello\n{"device_id": 1}\n{"torn', b"hello\n"),
