@@ -113,6 +113,11 @@ def invert(model: CalibrationModel, f0_hz: float) -> InversionResult:
     extrapolated when f0_hz falls outside the fitted frequency range. A
     non-finite f0_hz raises DomainError; a model that maps it to no finite
     value (zero slope, or an overflowing quotient) raises DegenerateModel."""
+    return InversionResult(*_invert(model, f0_hz))
+
+
+def _invert(model: CalibrationModel, f0_hz: float) -> tuple[float, bool]:
+    """invert's (value, extrapolated), with no InversionResult built."""
     if not math.isfinite(f0_hz):
         raise DomainError(f"f0_hz must be finite, got {f0_hz}")
     if model.slope == 0.0:
@@ -121,8 +126,7 @@ def invert(model: CalibrationModel, f0_hz: float) -> InversionResult:
     if not math.isfinite(value):
         raise DegenerateModel(
             f"inverting f0_hz {f0_hz!r} overflows (slope {model.slope!r})")
-    extrapolated = not (model.y_min <= f0_hz <= model.y_max)
-    return InversionResult(value=value, extrapolated=extrapolated)
+    return value, not (model.y_min <= f0_hz <= model.y_max)
 
 
 Phase = Literal["loaded", "released"]

@@ -117,6 +117,12 @@ def extract_resonance(sweep: S11Sweep,
     and DomainError for sweeps shorter than the smoothing window or
     holding a -inf sample that is not such an endpoint dip.
     """
+    return ResonanceEstimate(*_extract(sweep, min_depth_db))
+
+
+def _extract(sweep: S11Sweep, min_depth_db: float = MIN_DEPTH_DB) -> tuple:
+    """extract_resonance's four fields, in ResonanceEstimate's order, with
+    no estimate built: the log path reads them straight off the tuple."""
     if sweep.n_points < SMOOTHING_WINDOW:
         raise DomainError(
             f"need at least {SMOOTHING_WINDOW} points, got {sweep.n_points}")
@@ -148,9 +154,4 @@ def extract_resonance(sweep: S11Sweep,
     snr = depth / sigma_hat
     if snr < MIN_SNR:  # NaN passes: a NaN sweep is not refused here
         raise NoResonance(f"dip SNR {snr:.2f} below floor {MIN_SNR:.2f}")
-    return ResonanceEstimate(
-        f0_hat=float(f0_hat),
-        depth_db=depth,
-        snr_estimate=snr,
-        refined=refined,
-    )
+    return float(f0_hat), depth, snr, refined

@@ -81,10 +81,11 @@ def float_columns(lines, source: str, *, header: str | None = None,
 
 
 def parse_json(text: str, what: str):
-    """json.loads with DomainError for malformed text."""
+    """json.loads with DomainError for malformed text, an integer past
+    Python's digit limit too."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise DomainError(f"{what}: malformed JSON ({exc})") from None
 
 

@@ -26,14 +26,15 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calibration import CalibrationModel, invert
-from .dsp import extract_resonance
+# extract_resonance and invert stay bound: bench/spans.py traces them here
+from .calibration import CalibrationModel, _invert, invert
+from .dsp import _extract, extract_resonance
 from .errors import (BadMagic, ChecksumMismatch, DomainError, FrameError,
                      InvalidGrid, MaicasError, MalformedLength,
                      UnsupportedVersion)
@@ -68,6 +69,7 @@ MAX_STREAM_POINTS = 1 << 24
 LOG_SCHEMA = "maicas-log/1"
 _SCHEMA_LINE = (json.dumps({"schema": LOG_SCHEMA}) + "\n").encode()
 _TAIL_BLOCK = 1 << 16  # bytes _prepare_append reads back at a time
+_HEAD_LIMIT = 1 << 16  # longest first line _prepare_append reads
 
 
 def _checked_port(port: int, source: str) -> int:
@@ -306,26 +308,26 @@ def record_from_frame(raw: bytes, model: CalibrationModel, *,
     cal_id must be calibration_id_of(model), hashed once by the caller for
     all the frames it logs against the model.
     """
+    return MeasurandRecord(*_record(raw, model, cal_id))
+
+
+def _record(raw: bytes, model: CalibrationModel, cal_id: str) -> tuple:
+    """record_from_frame's eight fields, in MeasurandRecord's order, with
+    no record, estimate or inversion built: process_frames logs the tuple."""
     device_id = timestamp_us = 0
     try:
         device_id, timestamp_us, f_start, f_stop, n_points, mags = \
             _decode(raw)
         # _decode checked the grid and the sample count; not passivity
         _check_passive(mags)
-        estimate = extract_resonance(_sweep_of_checked(
-            f_start, f_stop, n_points, mags))
-        inversion = invert(model, estimate.f0_hat)
+        f0_hat = _extract(_sweep_of_checked(f_start, f_stop, n_points,
+                                            mags))[0]
+        value, extrapolated = _invert(model, f0_hat)
     except MaicasError as exc:
-        return MeasurandRecord(
-            device_id=device_id, timestamp_us=timestamp_us, f0_hat_hz=None,
-            measurand_value=None, measurand_unit=model.measurand_unit,
-            calibration_id=cal_id, quality="no_resonance",
-            error=_snake_case(type(exc).__name__))
-    return MeasurandRecord(
-        device_id=device_id, timestamp_us=timestamp_us,
-        f0_hat_hz=estimate.f0_hat, measurand_value=inversion.value,
-        measurand_unit=model.measurand_unit, calibration_id=cal_id,
-        quality="extrapolated" if inversion.extrapolated else "ok")
+        return (device_id, timestamp_us, None, None, model.measurand_unit,
+                cal_id, "no_resonance", _snake_case(type(exc).__name__))
+    return (device_id, timestamp_us, f0_hat, value, model.measurand_unit,
+            cal_id, "extrapolated" if extrapolated else "ok", None)
 
 
 @dataclass(frozen=True)
@@ -351,13 +353,14 @@ def _entries(data: bytes) -> list | None:
         return None
 
 
-def _check_head(path: Path, head: bytes) -> None:
+def _check_head(path: Path, head: bytes, cut: bool) -> None:
     """DomainError naming path and head unless head, the first line of a
     non-empty log, is a schema line read_log accepts or a torn start of the
-    one _LogWriter writes."""
+    one _LogWriter writes. A cut head, the start of a longer first line,
+    is refused unparsed: the writer writes no such head."""
     if not head.endswith(b"\n") and _SCHEMA_LINE.startswith(head):
         return
-    entries = _entries(head)
+    entries = None if cut else _entries(head)
     if not (entries and _is_schema(entries[0])):
         raise DomainError(f"{path}: not a {LOG_SCHEMA} log, its first line "
                           f"is {head[:80]!r}; nothing appended")
@@ -369,7 +372,8 @@ def _prepare_append(path: Path) -> int:
     added; any other partial last line, left by a writer that stopped
     mid-record, is cut back to the last newline. Returns the size of the
     file afterwards (0 for a missing file). A head _check_head refuses
-    raises before anything is changed."""
+    raises before anything is changed; the head is read up to _HEAD_LIMIT
+    bytes, so a longer first line is refused without being read whole."""
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
@@ -379,7 +383,9 @@ def _prepare_append(path: Path) -> int:
         if size == 0:
             return 0
         fh.seek(0)
-        _check_head(path, fh.readline())
+        head = fh.readline(_HEAD_LIMIT)
+        _check_head(path, head,
+                    cut=len(head) < size and not head.endswith(b"\n"))
         kept = _last_line_start(fh, size)
         if kept == size:
             return size
@@ -437,14 +443,19 @@ class _LogWriter:
                               f"{len(data) - done} bytes of a line")
             done += more
 
-    def append(self, record: MeasurandRecord) -> None:
+    def append(self, fields) -> None:
+        """Write one record: a MeasurandRecord, or its eight fields in
+        order as _record returns them."""
+        if isinstance(fields, MeasurandRecord):
+            fields = astuple(fields)
+        (device_id, timestamp_us, f0_hat_hz, measurand_value, unit, cal_id,
+         quality, error) = fields
         self._write((
-            f'{{"device_id": {_json_number(record.device_id)}, '
-            f'"timestamp_us": {_json_number(record.timestamp_us)}, '
-            f'"f0_hat_hz": {_json_number(record.f0_hat_hz)}, '
-            f'"measurand_value": {_json_number(record.measurand_value)}, '
-            + _record_tail(record.measurand_unit, record.calibration_id,
-                           record.quality, record.error)).encode())
+            f'{{"device_id": {_json_number(device_id)}, '
+            f'"timestamp_us": {_json_number(timestamp_us)}, '
+            f'"f0_hat_hz": {_json_number(f0_hat_hz)}, '
+            f'"measurand_value": {_json_number(measurand_value)}, '
+            + _record_tail(unit, cal_id, quality, error)).encode())
 
     def close(self) -> None:
         self._fh.close()
@@ -478,9 +489,9 @@ def process_frames(frames, model: CalibrationModel, log_path) -> dict[str, int]:
     counts = {"ok": 0, "extrapolated": 0, "no_resonance": 0}
     try:
         for raw in frames:
-            record = record_from_frame(raw, model, cal_id=cal_id)
-            writer.append(record)
-            counts[record.quality] += 1
+            fields = _record(raw, model, cal_id)
+            writer.append(fields)
+            counts[fields[6]] += 1  # quality
     finally:
         writer.close()
     return counts

@@ -167,6 +167,14 @@ class TestStrictJson:
         assert_one_error_line(capsys, *argv)
         assert not log.exists()
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        """json.loads raises a plain ValueError, not a JSONDecodeError, for
+        an integer of more than 4,300 digits: still malformed JSON."""
+        model_path = tmp_path / "big.json"
+        model_path.write_text(f'{{"slope_hz_per_unit": {"9" * 5000}}}')
+        assert_one_error_line(capsys, "invert", "--model", str(model_path),
+                              "--f0", "1.7e9")
+
     @pytest.mark.parametrize("defect", DEFECTS)
     def test_bad_simulate_config(self, capsys, tmp_path, defect):
         config = json.loads(default_config("graft_pressure").to_json())

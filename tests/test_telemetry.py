@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import struct
 import tempfile
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 import zlib
@@ -21,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from maicas import telemetry
-from maicas.calibration import fit_linear, invert
-from maicas.dsp import extract_resonance
+from maicas.calibration import InversionResult, fit_linear, invert
+from maicas.dsp import ResonanceEstimate, extract_resonance
 from maicas.errors import (BadMagic, ChecksumMismatch, DomainError,
                            FrameError, InvalidGrid, MaicasError,
                            MalformedLength, OutOfModelRange,
@@ -109,7 +111,7 @@ def log_frame_by_frame(frames, model, path) -> bytes:
     """The log record_from_frame gives one frame at a time."""
     writer = _LogWriter(path)
     for raw in frames:
-        writer.append(record_of(raw, model))
+        writer.append(dataclasses.astuple(record_of(raw, model)))
     writer.close()
     return path.read_bytes()
 
@@ -505,7 +507,7 @@ class TestRecords:
         def refuse(model, f0):
             raise OutOfModelRange("outside the model")
 
-        monkeypatch.setattr(telemetry, "invert", refuse)
+        monkeypatch.setattr(telemetry, "_invert", refuse)
         record = record_of(encode_frame(5, 99, sweep_pool[0]), pressure_model)
         assert record.quality == "no_resonance"
         assert record.error == "out_of_model_range"
@@ -578,6 +580,29 @@ class TestLog:
         assert calls == []
         decode_frame(frames[0])
         assert len(calls) == 1
+
+    def test_no_dataclass_built_per_frame(self, sweep_pool, pressure_model,
+                                          tmp_path, monkeypatch):
+        """process_frames logs _record's tuple: it builds no MeasurandRecord,
+        ResonanceEstimate or InversionResult. record_from_frame builds its
+        one record and nothing else."""
+        built = {}
+        for cls in (MeasurandRecord, ResonanceEstimate, InversionResult):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                        **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            built[cls.__name__] = 0
+            monkeypatch.setattr(cls, "__init__", counted)
+        frames = mixed_frames(sweep_pool)
+        counts = process_frames(frames, pressure_model, tmp_path / "log")
+        assert sum(counts.values()) == len(frames)
+        assert built == {"MeasurandRecord": 0, "ResonanceEstimate": 0,
+                         "InversionResult": 0}
+        record_of(frames[0], pressure_model)
+        assert built == {"MeasurandRecord": 1, "ResonanceEstimate": 0,
+                         "InversionResult": 0}
 
     def test_model_hashed_once_per_call(self, sweep_pool, pressure_model,
                                         tmp_path, id_calls):
@@ -726,6 +751,43 @@ class TestLog:
         process_frames(frames[2:], pressure_model, log)
         assert log.read_bytes() == log_frame_by_frame(
             frames, pressure_model, tmp_path / "clean.ndjson")
+
+    def test_a_long_first_line_is_refused_unread(self, tmp_path):
+        """A 20 MB file with no newline is refused after reading at most
+        _HEAD_LIMIT bytes of it, and is left as it was."""
+        path = tmp_path / "big.bin"
+        path.write_bytes(b"x" * (20 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"not a {LOG_SCHEMA} log"):
+                _LogWriter(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.stat().st_size == 20 << 20
+
+    @pytest.mark.parametrize("after,refused", [
+        (b"", False), (b"\n", True), (b" x", True)])
+    def test_head_limit_counts_the_whole_first_line(
+            self, sweep_pool, pressure_model, tmp_path, after, refused):
+        """A schema line padded to exactly _HEAD_LIMIT bytes is a head; one
+        byte more, a newline too, and it is refused, not cut or appended
+        to."""
+        schema = json.dumps({"schema": LOG_SCHEMA}).encode()
+        head = schema.ljust(telemetry._HEAD_LIMIT)
+        log = tmp_path / "log.ndjson"
+        log.write_bytes(head + after)
+        frames = frames_from_sweeps(sweep_pool[:2])
+        if refused:
+            with pytest.raises(DomainError, match=f"not a {LOG_SCHEMA} log"):
+                process_frames(frames, pressure_model, log)
+            assert log.read_bytes() == head + after
+        else:
+            process_frames(frames, pressure_model, log)
+            clean = log_frame_by_frame(frames, pressure_model,
+                                       tmp_path / "clean.ndjson")
+            assert log.read_bytes() == head + clean[len(schema):]
 
     def test_read_log_refuses_an_int_past_the_digit_limit(self, tmp_path):
         path = tmp_path / "long.ndjson"

@@ -91,7 +91,7 @@ ALLOWLIST: dict[tuple[str, str, str, int, int, str], str] = {
         _FIT + "a dip exactly 0.5 dB off the target depth",
     ("circuit", "calibrate_baseline", "abs(circuit.f0 - target_f0) > 1e6",
      0, 0, "> -> >="): _FIT + "a tank f0 exactly 1 MHz off the target",
-    ("dsp", "extract_resonance", "abs(delta) <= 1.0", 0, 0, "<= -> <"):
+    ("dsp", "_extract", "abs(delta) <= 1.0", 0, 0, "<= -> <"):
         "a parabola vertex exactly one grid step from the lowest sample",
     ("readout", "dip_of", "0 < i < len(f) - 1", 0, 1, "< -> <="):
         "the fine grid spans 3 coarse steps each side of the coarse "
